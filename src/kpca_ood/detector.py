@@ -75,8 +75,14 @@ def choose_q(eigenvalues, evr_target: float) -> int:
     total = lam.sum()
     if total <= 0.0:
         raise AllZeroSpectrumError("all eigenvalues are zero")
+    positive = int(np.count_nonzero(lam))
+    if evr_target == 1.0:
+        return positive
+    # The last cumulative ratio can round to just below 1.0, which would put
+    # a target near 1.0 past the end of the spectrum; in exact arithmetic the
+    # mass is complete at the last positive eigenvalue.
     ratios = np.cumsum(lam) / total
-    return int(np.searchsorted(ratios, evr_target, side="left")) + 1
+    return min(int(np.searchsorted(ratios, evr_target, side="left")) + 1, positive)
 
 
 def fit(

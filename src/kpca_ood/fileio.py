@@ -229,6 +229,8 @@ def load_model(path):
 
     if method in COVARIANCE_METHODS:
         evr, input_dim, d, q, flags = r.unpack("<dIIIB")
+        if not 1 <= q <= d:
+            raise FormatError(f"{path}: q {q} outside [1, feature_dim {d}]")
         has_rff = bool(flags & 1)
         has_residual = bool(flags & 2)
         if has_rff != (method in (METHOD_CORP, METHOD_COLP)):
@@ -267,6 +269,8 @@ def load_model(path):
         )
 
     evr, gamma, n, m, l = r.unpack("<ddIII")
+    if not 1 <= l <= n:
+        raise FormatError(f"{path}: l {l} outside [1, n_train {n}]")
     train = r.f64(n * m, (n, m), "C")
     vectors = r.f64(n * l, (n, l), "F")
     r.done()

@@ -1,29 +1,19 @@
 """Feature-matrix validation and dense symmetric eigendecomposition.
 
-The eigensolver is a cyclic Jacobi iteration with threshold pivoting.
-Pivot pairs are visited in a round-robin tournament order so that each
-round rotates up to n//2 disjoint pairs at once with vectorized updates;
-within a round the rotations commute, so the result is exactly a cyclic
-Jacobi sweep under a particular pivot ordering. Pivots whose magnitude is
-below a small fraction of the current off-diagonal norm are skipped for
-speed (classic threshold Jacobi; the skipped mass per sweep is bounded
-well below the convergence tolerance).
+The eigensolver is LAPACK's divide-and-conquer ``syevd``, reached through
+``numpy.linalg.eigh``. Its input is first symmetrized exactly via
+(A + A^T)/2, after a check that the asymmetry is only rounding noise.
 
-Two layout tricks keep the vectorized updates on contiguous rows: the
-right rotation A*J is applied as row operations on A^T (valid because the
-iterate stays symmetric), and the eigenvector matrix is accumulated
-transposed. Convergence is declared when the off-diagonal Frobenius norm
-drops below 1e-12 * ||A||_F (the Frobenius norm is rotation invariant, so
-the reference is fixed up front), capped at 100 sweeps.
-
-Everything here is pure and deterministic for a fixed input: no threading,
-no randomness, no dependence on BLAS vendor kernels.
+LAPACK fixes each eigenvector only up to sign, and which sign it returns
+is an implementation detail. ``sym_eig`` therefore applies one sign rule:
+every eigenvector column is flipped so that its largest-magnitude entry is
+positive (the first such entry on a tie). With it a fixed input gives the
+same bytes on every call, which saved models rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,12 +21,6 @@ from .errors import DimMismatchError, NonFiniteError, NonSymmetricError
 
 # Absolute tolerance on |A - A^T| for inputs to the eigensolver.
 SYMMETRY_TOL = 1e-9
-
-# Off-diagonal Frobenius norm threshold, relative to ||A||_F.
-_CONVERGENCE_REL = 1e-12
-_MAX_SWEEPS = 100
-# Pivots below _SKIP_REL * off_norm / n are not rotated this sweep.
-_SKIP_REL = 0.25
 
 
 def as_feature_matrix(data, name: str = "features") -> np.ndarray:
@@ -69,115 +53,13 @@ class SymEigResult:
     eigenvectors: np.ndarray
 
 
-@lru_cache(maxsize=32)
-def _tournament_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Round-robin schedule covering every index pair once per sweep.
-
-    Pairs within a round are disjoint, which is what allows the vectorized
-    simultaneous rotations in ``sym_eig``. Rounds are sorted by first index
-    for gather locality.
-    """
-    players = list(range(n))
-    if n % 2:
-        players.append(-1)  # bye
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a >= 0 and b >= 0:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        p = np.asarray(ps, dtype=np.intp)
-        q = np.asarray(qs, dtype=np.intp)
-        order = np.argsort(p)
-        rounds.append((p[order], q[order]))
-        players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    # Summed directly over off-diagonal entries; the subtraction form
-    # ||A||_F^2 - ||diag||^2 cancels catastrophically near convergence.
-    sq = a * a
-    np.fill_diagonal(sq, 0.0)
-    return float(np.sqrt(np.sum(sq)))
-
-
-class _RotateBuffers:
-    """Preallocated scratch for the vectorized rotations (no per-round allocs)."""
-
-    def __init__(self, n: int):
-        k = (n + 1) // 2
-        self.top = np.empty((k, n))
-        self.bot = np.empty((k, n))
-        self.o1 = np.empty((k, n))
-        self.o2 = np.empty((k, n))
-        self.flip = np.empty((n, n))
-
-
-def _rotate_rows(m, p, q, cc, ss, buf) -> None:
-    """Rows p <- c*p - s*q and q <- s*p + c*q, in place, allocation free."""
-    k = p.shape[0]
-    top, bot = buf.top[:k], buf.bot[:k]
-    o1, o2 = buf.o1[:k], buf.o2[:k]
-    np.take(m, p, axis=0, out=top)
-    np.take(m, q, axis=0, out=bot)
-    np.multiply(cc, top, out=o1)
-    np.multiply(ss, bot, out=o2)
-    o1 -= o2
-    np.multiply(ss, top, out=o2)
-    np.multiply(cc, bot, out=top)
-    o2 += top
-    m[p, :] = o1
-    m[q, :] = o2
-
-
-def _sweep(a: np.ndarray, w: np.ndarray, rounds, thresh: float, buf) -> np.ndarray:
-    """One full cyclic sweep; returns the (possibly re-bound) iterate."""
-    n = a.shape[0]
-    for p, q in rounds:
-        apq = a[p, q]
-        act = np.abs(apq) > thresh
-        k = int(np.count_nonzero(act))
-        if k == 0:
-            continue
-        if k < p.shape[0]:
-            p, q, apq = p[act], q[act], apq[act]
-
-        with np.errstate(over="ignore"):
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-            sg = np.where(theta >= 0.0, 1.0, -1.0)
-            t = sg / (np.abs(theta) + np.sqrt(1.0 + theta * theta))
-        c = 1.0 / np.sqrt(t * t + 1.0)
-        s = t * c
-        cc, ss = c[:, None], s[:, None]
-
-        _rotate_rows(a, p, q, cc, ss, buf)  # J^T A
-        if k >= n // 8:
-            # (J^T A) J via row ops on the transpose: for symmetric A,
-            # J^T (J^T A)^T equals J^T A J exactly.
-            buf.flip[...] = a.T
-            a, buf.flip = buf.flip, a
-            _rotate_rows(a, p, q, cc, ss, buf)
-        else:
-            top, bot = a[:, p], a[:, q]
-            a[:, p] = c * top - s * bot
-            a[:, q] = s * top + c * bot
-        a[p, q] = 0.0
-        a[q, p] = 0.0
-
-        _rotate_rows(w, p, q, cc, ss, buf)  # V <- V J kept as rows of W = V^T
-    return a
-
-
 def sym_eig(matrix) -> SymEigResult:
     """Eigendecompose a square symmetric real matrix.
 
     Raises NonSymmetricError if |A - A^T| exceeds SYMMETRY_TOL anywhere,
     NonFiniteError on NaN/Inf. The input is symmetrized exactly via
-    (A + A^T)/2 before iterating.
+    (A + A^T)/2 before it is decomposed; each eigenvector column is
+    signed so that its largest-magnitude entry is positive.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -193,19 +75,8 @@ def sym_eig(matrix) -> SymEigResult:
             f"asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_TOL:.1e}"
         )
 
-    a = 0.5 * (a + a.T)
-    w = np.eye(n)  # accumulates V^T
-    norm_ref = float(np.linalg.norm(a, "fro"))
-    if n > 1 and norm_ref > 0.0:
-        tol = _CONVERGENCE_REL * norm_ref
-        rounds = _tournament_rounds(n)
-        buf = _RotateBuffers(n)
-        for _ in range(_MAX_SWEEPS):
-            off = _offdiag_norm(a)
-            if off <= tol:
-                break
-            a = _sweep(a, w, rounds, _SKIP_REL * off / n, buf)
-
-    lam = np.diag(a).copy()
-    order = np.argsort(-lam, kind="stable")
-    return SymEigResult(lam[order], np.ascontiguousarray(w[order].T))
+    lam, vec = np.linalg.eigh(0.5 * (a + a.T))
+    lam, vec = lam[::-1].copy(), vec[:, ::-1]
+    pivot = vec[np.argmax(np.abs(vec), axis=0), np.arange(n)]
+    vec = vec * np.where(pivot < 0.0, -1.0, 1.0)
+    return SymEigResult(lam, np.ascontiguousarray(vec))

@@ -42,6 +42,25 @@ class TestChooseQ:
         with pytest.raises(ValueError):
             choose_q([1.0], 0.0)  # target out of range
 
+    def test_q_within_spectrum_over_random_spectra(self):
+        # The last cumulative ratio can round to just below 1.0; q must
+        # still stay within the spectrum and, at a target of 1.0, equal the
+        # count of positive eigenvalues. Some spectra get an exact-zero or
+        # a tiny tail so that the count is not always the full size.
+        rng = np.random.default_rng(2024)
+        for trial in range(2000):
+            lam = np.sort(rng.exponential(size=8))[::-1]
+            if trial % 3 == 1:
+                lam[-rng.integers(1, 8):] = 0.0
+            elif trial % 3 == 2:
+                lam[-1] = 1e-30
+            positive = int(np.count_nonzero(lam))
+            for target in (0.5, 0.9, 0.99, 1.0 - 2.0**-53, 1.0):
+                q = choose_q(lam, target)
+                assert 1 <= q <= lam.size
+                assert q <= positive
+            assert choose_q(lam, 1.0) == positive
+
 
 class TestFitFourPointOracle:
     """Hand-worked example: scatter = diag(2, 0.02)."""

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,32 @@ class TestModelContainer:
         blob[5] = 77
         p.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
+            load_model(p)
+
+    @pytest.mark.parametrize("q", [0, 4])
+    def test_covariance_q_outside_feature_dim_rejected(self, tmp_path, q):
+        # pca model, input_dim = feature_dim = 3, no frequencies or
+        # residual basis; the payload holds every value the header asks
+        # for, so only the range check can reject it.
+        d = 3
+        blob = struct.pack("<4sBB", b"OODM", 1, 0)
+        blob += struct.pack("<dIIIB", 0.9, d, d, q, 0)
+        blob += np.ones(d + d + d * q).astype("<f8").tobytes()
+        p = tmp_path / "m.oodm"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match="outside"):
+            load_model(p)
+
+    @pytest.mark.parametrize("l", [0, 6])
+    def test_gram_l_outside_train_rows_rejected(self, tmp_path, l):
+        # kcos model with n_train = 5 rows of input_dim 2.
+        n, m = 5, 2
+        blob = struct.pack("<4sBB", b"OODM", 1, 4)
+        blob += struct.pack("<ddIII", 0.9, 0.0, n, m, l)
+        blob += np.ones(n * m + n * l).astype("<f8").tobytes()
+        p = tmp_path / "m.oodm"
+        p.write_bytes(blob)
+        with pytest.raises(FormatError, match="outside"):
             load_model(p)
 
 

@@ -126,3 +126,40 @@ class TestSymEigProperties:
         r = sym_eig(a)
         assert abs(r.eigenvalues[0] - 14.0) <= 1e-10
         assert np.all(np.abs(r.eigenvalues[1:]) <= 1e-10)
+
+
+class TestSymEigLapack:
+    """Sign rule, LAPACK oracle at scatter-matrix size, run-to-run identity."""
+
+    @staticmethod
+    def _scatter(n, seed):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(2 * n, n)) * np.linspace(3.0, 0.01, n)
+        centered = b - b.mean(axis=0)
+        return centered.T @ centered  # PSD with a decaying spectrum
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 96])
+    def test_sign_rule_largest_entry_positive(self, n):
+        rng = np.random.default_rng(40 + n)
+        b = rng.normal(size=(n, n))
+        v = sym_eig(b + b.T).eigenvectors
+        pivot = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+        assert np.all(pivot > 0.0)
+
+    def test_lapack_oracle_n256(self):
+        a = self._scatter(256, 11)
+        r = sym_eig(a)
+        ref_lam, ref_vec = np.linalg.eigh(a)
+        ref_lam, ref_vec = ref_lam[::-1], ref_vec[:, ::-1]
+        rel = np.abs(r.eigenvalues - ref_lam) / np.abs(ref_lam).max()
+        assert np.max(rel) <= 1e-10
+        for q in (1, 16, 128, 200):
+            u, w = r.eigenvectors[:, :q], ref_vec[:, :q]
+            assert np.max(np.abs(u @ u.T - w @ w.T)) <= 1e-9
+
+    def test_bit_equal_on_copies_n256(self):
+        a = self._scatter(256, 12)
+        r1 = sym_eig(a.copy())
+        r2 = sym_eig(a.copy())
+        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+        assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
