@@ -23,7 +23,12 @@ from .errors import (
     NonFiniteError,
     ZeroVectorError,
 )
-from .featmap import IDENTITY_STAGE, ZERO_NORM_FLOOR, normalize_rows
+from .featmap import (
+    IDENTITY_STAGE,
+    ZERO_NORM_FLOOR,
+    _normalize_valid_rows,
+    normalize_rows,
+)
 from .linalg import as_feature_matrix
 
 
@@ -38,7 +43,7 @@ class KnnScorer:
 def build_knn(train, k: int = 1) -> KnnScorer:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    xn = normalize_rows(as_feature_matrix(train, "train"), "train")
+    xn = normalize_rows(train, "train")
     if k > xn.shape[0]:
         raise KTooLargeError(f"k={k} exceeds {xn.shape[0]} stored rows")
     return KnnScorer(train_normalized=xn, k=int(k))
@@ -56,7 +61,7 @@ def knn_score(scorer: KnnScorer, x) -> np.ndarray:
         raise KTooLargeError(
             f"k={scorer.k} exceeds {scorer.train_normalized.shape[0]} stored rows"
         )
-    xq = normalize_rows(xq)
+    xq = _normalize_valid_rows(xq)
     # unit rows on both sides: ||a-b||^2 = 2 - 2 a.b
     d2 = np.clip(2.0 - 2.0 * (xq @ scorer.train_normalized.T), 0.0, None)
     if scorer.k == 1:

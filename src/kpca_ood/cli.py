@@ -18,10 +18,11 @@ import time
 import numpy as np
 
 from . import fileio
-from .baselines import build_knn, knn_score, reg_pca_error
+from .baselines import build_knn, fuse, knn_score, reg_pca_error
 from .detector import DetectorModel, fit as fit_detector, score_reconstruction
 from .errors import (
     DataError,
+    IndexMismatchError,
     KpcaOodError,
     NumericalError,
 )
@@ -35,6 +36,7 @@ from .featmap import (
     normalize_rows,
     rff_build,
 )
+from .fileio import ALL_METHODS, KERNEL_METHODS
 from .kernelspace import (
     GAUSSIAN_KERNEL,
     COSINE_KERNEL,
@@ -50,10 +52,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-COVARIANCE_METHODS = ("pca", "cop", "corp", "colp")
-KERNEL_METHODS = ("kcos", "kgau")
-METHODS = COVARIANCE_METHODS + KERNEL_METHODS
-BENCH_METHODS = METHODS + ("knn",)
+BENCH_METHODS = ALL_METHODS + ("knn",)
 
 
 class UsageError(Exception):
@@ -256,7 +255,9 @@ def cmd_fuse(args) -> int:
     idx_e, errors = fileio.load_scores(args.errors)
     idx_b, base = fileio.load_scores(args.base)
     if idx_e.shape != idx_b.shape or not np.array_equal(idx_e, idx_b):
-        raise DataError("error and base score files disagree on row indices")
+        raise IndexMismatchError(
+            "error and base score files disagree on row indices"
+        )
     if args.normalize_errors:
         pool = [errors]
         for path in args.errors_extra or []:
@@ -266,7 +267,7 @@ def cmd_fuse(args) -> int:
         if hi <= lo:
             raise NumericalError("cannot min-max normalize a constant error set")
         errors = (errors - lo) / (hi - lo)
-    fused = (1.0 - errors) * base
+    fused = fuse(errors, base)
     fileio.save_scores(args.out, idx_e, fused)
     print(f"wrote {args.out} ({fused.size} rows)")
     return EXIT_OK
@@ -381,7 +382,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit a detector on a training feature file")
     p.add_argument("--train", required=True)
-    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--method", required=True, choices=ALL_METHODS)
     p.add_argument("--evr", type=float, default=0.90)
     p.add_argument("--gamma", type=float)
     p.add_argument("--rff-dim", type=int)
@@ -421,7 +422,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--ind", required=True)
     p.add_argument("--ood", required=True)
-    p.add_argument("--method", required=True, choices=METHODS)
+    p.add_argument("--method", required=True, choices=ALL_METHODS)
     p.add_argument("--evr", type=float, default=0.90)
     p.add_argument("--gamma", type=float)
     p.add_argument("--rff-dim", type=int)

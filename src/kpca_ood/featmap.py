@@ -7,6 +7,11 @@ squared-exponential kernel exp(-gamma*||a-b||_2^2) and Cauchy(scale=gamma)
 for the exponential-of-L1 kernel exp(-gamma*||a-b||_1); phases are uniform
 on [0, 2*pi). A map is frozen once built: applying it is pure, and the
 stored frequencies/phases (not the seed) are authoritative.
+
+``map_apply`` validates its input once; the stages after it trust the
+validated rows. The Fourier stage works in place on the one N x M array it
+allocates (GEMM, phase, cosine, scale), so it never writes to its input and
+holds a single N x M temporary.
 """
 
 from __future__ import annotations
@@ -52,7 +57,11 @@ def cosine_apply(z) -> np.ndarray:
 
 def normalize_rows(x: np.ndarray, name: str = "features") -> np.ndarray:
     """Unit-normalize every row; reports the first degenerate row index."""
-    x = as_feature_matrix(x, name)
+    return _normalize_valid_rows(as_feature_matrix(x, name), name)
+
+
+def _normalize_valid_rows(x: np.ndarray, name: str = "features") -> np.ndarray:
+    """normalize_rows for rows that already passed as_feature_matrix."""
     norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(norms < ZERO_NORM_FLOOR)
     if bad.size:
@@ -123,8 +132,13 @@ def _rff_apply_batch(rff: RffMap, x: np.ndarray) -> np.ndarray:
         raise DimMismatchError(
             f"map expects dimension {rff.input_dim}, got {x.shape[1]}"
         )
-    m = rff.n_features
-    return np.sqrt(2.0 / m) * np.cos(x @ rff.omegas.T + rff.biases)
+    # sqrt(2/M) * cos(x @ omegas.T + biases), step by step in place on the
+    # array the GEMM allocated; x may be the caller's own array.
+    out = x @ rff.omegas.T
+    out += rff.biases
+    np.cos(out, out=out)
+    out *= np.sqrt(2.0 / rff.n_features)
+    return out
 
 
 def _stage_output_dim(stage, dim: int) -> int:
@@ -180,7 +194,11 @@ def cosine_rff_spec(rff: RffMap) -> FeatureMapSpec:
 
 
 def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
-    """Apply every stage in order to all rows of x."""
+    """Apply every stage in order to all rows of x.
+
+    With the identity map the result may be x itself, so callers must not
+    modify it in place.
+    """
     out = as_feature_matrix(x)
     if out.shape[1] != spec.input_dim:
         raise DimMismatchError(
@@ -190,7 +208,7 @@ def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
         if stage == IDENTITY_STAGE:
             continue
         if stage == COSINE_STAGE:
-            out = normalize_rows(out)
+            out = _normalize_valid_rows(out)
         else:
             out = _rff_apply_batch(stage, out)
     return out

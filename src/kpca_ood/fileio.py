@@ -28,6 +28,7 @@ non-finite payloads; save->load->save is byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -300,7 +301,10 @@ def save_scores(path, indices, values) -> None:
 
 
 def load_scores(path):
-    """Read an index,score CSV; returns (indices, values)."""
+    """Read an index,score CSV; returns (indices, values).
+
+    Rejects a NaN or Inf score with NonFiniteError naming its line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "index,score":
@@ -315,4 +319,6 @@ def load_scores(path):
             vals.append(float(right))
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: bad row {line!r}") from exc
+        if not math.isfinite(vals[-1]):
+            raise NonFiniteError(f"{path}:{ln}: non-finite score {right!r}")
     return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64)

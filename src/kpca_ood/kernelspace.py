@@ -30,7 +30,7 @@ from .errors import (
     InvalidBandwidthError,
     InvalidSpecError,
 )
-from .featmap import normalize_rows
+from .featmap import _normalize_valid_rows, normalize_rows
 from .linalg import as_feature_matrix, sym_eig
 
 COSINE_KERNEL = "cosine"
@@ -79,7 +79,7 @@ def _cross_kernel(
 def gram(kernel_kind: str, gamma: float | None, x) -> np.ndarray:
     """Symmetric kernel matrix over the rows of x."""
     gamma = _check_kernel(kernel_kind, gamma)
-    xn = normalize_rows(as_feature_matrix(x))
+    xn = normalize_rows(x)
     dots = xn @ xn.T
     dots = 0.5 * (dots + dots.T)
     if kernel_kind == COSINE_KERNEL:
@@ -104,7 +104,7 @@ def fit_kernelspace(
     if not 0.0 < evr_target < 1.0:
         raise ValueError(f"evr_target must be in (0, 1), got {evr_target}")
     gamma = _check_kernel(kernel_kind, gamma)
-    xn = normalize_rows(as_feature_matrix(x, "train"), "train")
+    xn = normalize_rows(x, "train")
     n = xn.shape[0]
     k = gram(kernel_kind, gamma if kernel_kind == GAUSSIAN_KERNEL else None, xn)
 
@@ -143,6 +143,6 @@ def score_kernelspace(model: KernelSpaceModel, x) -> np.ndarray:
         raise DimMismatchError(
             f"model expects dimension {model.train.shape[1]}, got {xq.shape[1]}"
         )
-    xq = normalize_rows(xq)
+    xq = _normalize_valid_rows(xq)
     kq = _cross_kernel(model.kernel_kind, model.gamma, xq, model.train)
     return -np.linalg.norm(kq @ model.residual_vectors, axis=1)

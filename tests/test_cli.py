@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kpca_ood import fileio
-from kpca_ood.cli import main
+from kpca_ood.cli import build_parser, main
+from kpca_ood.errors import IndexMismatchError
 
 
 def run(*argv):
@@ -204,6 +205,27 @@ class TestEvalFuse:
         self._write_scores(b, np.array([1.0, 2.0]), start=5)
         assert run("fuse", "--errors", e, "--base", b,
                    "--out", tmp_path / "f.csv") == 2
+
+    def test_fuse_index_mismatch_error_class(self, tmp_path):
+        e, b = tmp_path / "e.csv", tmp_path / "b.csv"
+        self._write_scores(e, np.array([0.1, 0.2]))
+        self._write_scores(b, np.array([1.0, 2.0]), start=5)
+        args = build_parser().parse_args(
+            ["fuse", "--errors", str(e), "--base", str(b),
+             "--out", str(tmp_path / "f.csv")])
+        with pytest.raises(IndexMismatchError):
+            args.func(args)
+
+    @pytest.mark.parametrize("side", ["errors", "base"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fuse_non_finite_csv_rejected(self, tmp_path, side, bad):
+        e, b, out = tmp_path / "e.csv", tmp_path / "b.csv", tmp_path / "f.csv"
+        vals = {"errors": [0.1, 0.2, 0.3], "base": [1.0, 2.0, 3.0]}
+        vals[side][1] = bad
+        self._write_scores(e, np.array(vals["errors"]))
+        self._write_scores(b, np.array(vals["base"]))
+        assert run("fuse", "--errors", e, "--base", b, "--out", out) != 0
+        assert not out.exists()
 
     def test_fuse_normalize_errors(self, tmp_path):
         e, b, out = tmp_path / "e.csv", tmp_path / "b.csv", tmp_path / "f.csv"

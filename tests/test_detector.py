@@ -1,7 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
+from kpca_ood import linalg
+from kpca_ood.baselines import build_knn, knn_score, reg_pca_error
 from kpca_ood.detector import (
+    DetectorModel,
     choose_q,
     fit,
     reconstruction_errors,
@@ -11,9 +16,19 @@ from kpca_ood.detector import (
 from kpca_ood.errors import (
     AllZeroSpectrumError,
     DegenerateSpectrumError,
+    DimMismatchError,
     MissingResidualBasisError,
+    NonFiniteError,
+    ZeroVectorError,
 )
-from kpca_ood.featmap import cosine_rff_spec, cosine_spec, identity_spec, rff_build
+from kpca_ood.featmap import (
+    cosine_rff_spec,
+    cosine_spec,
+    identity_spec,
+    map_apply,
+    rff_build,
+)
+from kpca_ood.kernelspace import fit_kernelspace, score_kernelspace
 
 FOUR_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.1], [0.0, -0.1]])
 
@@ -207,3 +222,160 @@ class TestProperties:
         m2 = fit(x, cosine_spec(4), evr_target=0.8)
         assert np.array_equal(m1.basis, m2.basis)
         assert np.array_equal(m1.eigenvalues, m2.eigenvalues)
+
+
+def _spec(kind, d, rng):
+    if kind == "identity":
+        return identity_spec(d)
+    if kind == "cosine":
+        return cosine_spec(d)
+    m = int(rng.integers(d, 3 * d))
+    return cosine_rff_spec(
+        rff_build("gaussian", 0.5, m, d, seed=int(rng.integers(0, 2**31)))
+    )
+
+
+class TestNarrowProjection:
+    """Models with q > D - q score through the derived complement."""
+
+    def test_complement_present_iff_wider_basis(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for trial in range(60):
+            d = int(rng.integers(2, 12))
+            spec = _spec(("identity", "cosine", "rff")[trial % 3], d, rng)
+            x = rng.normal(size=(int(rng.integers(d + 2, 60)), d))
+            model = fit(x, spec, evr_target=float(rng.uniform(0.2, 1.0)))
+            big_d, q = model.basis.shape
+            wide = 2 * q > big_d
+            seen.add(wide)
+            if not wide:
+                assert model.complement is None
+                continue
+            r = model.complement
+            assert r.shape == (big_d, big_d - q)
+            assert r.flags.c_contiguous
+            assert np.max(np.abs(r.T @ r - np.eye(big_d - q)), initial=0.0) <= 1e-12
+            assert np.max(np.abs(model.basis.T @ r), initial=0.0) <= 1e-12
+        assert seen == {False, True}
+
+    def test_matches_explicit_projection(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 50:
+            d = int(rng.integers(3, 12))
+            spec = _spec(("identity", "cosine", "rff")[checked % 3], d, rng)
+            x = rng.normal(size=(int(rng.integers(d + 2, 60)), d))
+            model = fit(x, spec, evr_target=float(rng.uniform(0.7, 1.0)))
+            if model.complement is None:
+                continue
+            queries = rng.normal(size=(20, d))
+            c = map_apply(model.map_spec, queries) - model.mean
+            u = model.basis
+            want = -np.linalg.norm(u @ (u.T @ c.T) - c.T, axis=0)
+            a = score_reconstruction(model, queries)
+            assert np.all(np.abs(a - want) <= 1e-9 * (1.0 + np.abs(a)))
+            checked += 1
+
+    def test_as_accurate_as_wide_formula_near_subspace(self):
+        # Rows with a residual 1e-6 of their norm: rounding in R^T c is
+        # amplified by ||c|| / ||residual||, and R must be orthogonal to U
+        # well below eps for the narrow path to match the wide one against
+        # a long-double evaluation of ||(I - U U^T) c||.
+        narrow_err, wide_err = 0.0, 0.0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d = 48
+            x = rng.normal(size=(400, d)) * np.linspace(1.0, 2.0, d)
+            full = fit(x, identity_spec(d), evr_target=1.0)
+            model = DetectorModel(
+                full.map_spec, np.zeros(d),
+                np.ascontiguousarray(full.basis[:, : d - 1]), None,
+                full.eigenvalues, d - 1, 0.99,
+            )
+            u = model.basis
+            r_hat = np.linalg.qr(u, mode="complete")[0][:, -1]
+            c = rng.normal(size=(200, d - 1)) @ u.T
+            c += 1e-6 * rng.normal(size=(200, 1)) * r_hat
+            cl, ul = c.astype(np.longdouble), u.astype(np.longdouble)
+            ref = np.sqrt(np.sum((cl - (cl @ ul) @ ul.T) ** 2, axis=1))
+            narrow = -score_reconstruction(model, c)
+            wide = np.linalg.norm((c @ u) @ u.T - c, axis=1)
+            narrow_err = max(narrow_err, float(np.max(np.abs(narrow - ref) / ref)))
+            wide_err = max(wide_err, float(np.max(np.abs(wide - ref) / ref)))
+        assert narrow_err <= 1.5 * wide_err
+
+    @pytest.mark.parametrize("evr", [0.3, 0.99])
+    def test_validates_once_per_call(self, monkeypatch, evr):
+        rng = np.random.default_rng(13)
+        spec = _spec("rff", 6, rng)
+        model = fit(rng.normal(size=(40, 6)), spec, evr_target=evr)
+        original = linalg.as_feature_matrix
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "kpca_ood" or name.startswith("kpca_ood.")) and (
+                getattr(module, "as_feature_matrix", None) is original
+            ):
+                monkeypatch.setattr(module, "as_feature_matrix", counting)
+        score_reconstruction(model, rng.normal(size=(1, 6)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("evr", [0.3, 0.99])
+    def test_bad_queries_still_rejected(self, evr):
+        rng = np.random.default_rng(14)
+        model = fit(rng.normal(size=(40, 5)), _spec("rff", 5, rng), evr_target=evr)
+        ok = rng.normal(size=(4, 5))
+        bad = ok.copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            score_reconstruction(model, bad)
+        with pytest.raises(DimMismatchError):
+            score_reconstruction(model, rng.normal(size=(4, 6)))
+        zero = ok.copy()
+        zero[3] = 0.0
+        with pytest.raises(ZeroVectorError) as info:
+            score_reconstruction(model, zero)
+        assert info.value.row_index == 3
+
+
+class TestInputsUnchanged:
+    """No scorer may write to the caller's query array."""
+
+    @pytest.mark.parametrize("kind", ["identity", "cosine", "rff"])
+    @pytest.mark.parametrize("evr", [0.3, 0.99])
+    def test_covariance_scorers(self, kind, evr):
+        rng = np.random.default_rng(15)
+        d = 6
+        model = fit(rng.normal(size=(50, d)), _spec(kind, d, rng),
+                    evr_target=evr, store_residual=True)
+        assert (model.complement is not None) == (evr == 0.99)
+        queries = np.ascontiguousarray(rng.normal(size=(9, d)))
+        before = queries.tobytes()
+        calls = [
+            lambda q: map_apply(model.map_spec, q),
+            lambda q: reconstruction_errors(model, q),
+            lambda q: score_reconstruction(model, q),
+            lambda q: score_residual(model, q),
+        ]
+        if kind == "identity":
+            calls.append(lambda q: reg_pca_error(model, q))
+        for call in calls:
+            call(queries)
+            assert queries.tobytes() == before
+
+    def test_gram_and_knn_scorers(self):
+        rng = np.random.default_rng(16)
+        train = rng.normal(size=(30, 5))
+        queries = np.ascontiguousarray(rng.normal(size=(7, 5)))
+        before = queries.tobytes()
+        for kernel, gamma in (("cosine", None), ("gaussian", 0.8)):
+            model = fit_kernelspace(train, kernel, gamma=gamma, evr_target=0.8)
+            score_kernelspace(model, queries)
+            assert queries.tobytes() == before
+        knn_score(build_knn(train, k=2), queries)
+        assert queries.tobytes() == before

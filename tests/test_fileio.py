@@ -216,3 +216,27 @@ class TestScoresCsv:
         p.write_text("index,score\n0,abc\n")
         with pytest.raises(FormatError):
             load_scores(p)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_score_rejected_with_line(self, tmp_path, text):
+        p = tmp_path / "s.csv"
+        p.write_text(f"index,score\n0,1.5\n1,{text}\n2,0.25\n")
+        with pytest.raises(NonFiniteError, match=r"s\.csv:3"):
+            load_scores(p)
+
+
+class TestComplementOnLoad:
+    @pytest.mark.parametrize("evr,wide", [(0.4, False), (0.95, True)])
+    def test_reloaded_complement_bit_equal(self, tmp_path, evr, wide):
+        rng = np.random.default_rng(10)
+        rff = rff_build("gaussian", 0.7, 24, 5, seed=3)
+        model = fit(rng.normal(size=(80, 5)), cosine_rff_spec(rff), evr_target=evr)
+        p = tmp_path / "m.oodm"
+        save_model(p, model)
+        back = load_model(p)
+        assert (model.complement is not None) == wide
+        if not wide:
+            assert back.complement is None
+        else:
+            assert back.complement.shape == model.complement.shape
+            assert back.complement.tobytes() == model.complement.tobytes()
