@@ -2,11 +2,17 @@
 
 KNN scores by the k-th nearest distance among unit-normalized training
 rows (exact brute-force search, linear per-query cost in the training
-size). MSP takes the maximum softmax probability and the energy score the
-log-sum-exp of a logits row, both computed max-shifted so huge logits
-cannot overflow. The regularized reconstruction error divides a plain
-PCA reconstruction error by the query norm, and ``fuse`` combines an
-error vector with a base score as (1 - e) * s.
+size). Queries run in row blocks, and each block is reduced on the
+similarities s = q.t (the largest, or the k-th largest) before the one
+kept value per row becomes a distance sqrt(max(2 - 2s, 0)). The rounded
+fl(2 - 2s) never increases as s grows, so this picks the same value, bit
+for bit, as taking the k-th smallest of all the distances, and never
+forms a distance matrix. MSP takes the maximum softmax probability and
+the energy score the log-sum-exp of a logits row, both computed
+max-shifted so huge logits cannot overflow. The regularized
+reconstruction error divides a plain PCA reconstruction error by the
+query norm, and ``fuse`` combines an error vector with a base score as
+(1 - e) * s.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .featmap import (
     _normalize_valid_rows,
     normalize_rows,
 )
-from .linalg import as_feature_matrix
+from .linalg import _row_blocks, as_feature_matrix
 
 
 @dataclass(eq=False)
@@ -61,13 +67,16 @@ def knn_score(scorer: KnnScorer, x) -> np.ndarray:
         raise KTooLargeError(
             f"k={scorer.k} exceeds {scorer.train_normalized.shape[0]} stored rows"
         )
-    xq = _normalize_valid_rows(xq)
+    train, k = scorer.train_normalized, scorer.k
+
+    def block(rows):
+        sims = _normalize_valid_rows(rows) @ train.T
+        if k == 1:
+            return sims.max(axis=1)
+        return np.partition(sims, -k, axis=1)[:, -k]
+
     # unit rows on both sides: ||a-b||^2 = 2 - 2 a.b
-    d2 = np.clip(2.0 - 2.0 * (xq @ scorer.train_normalized.T), 0.0, None)
-    if scorer.k == 1:
-        kth = d2.min(axis=1)
-    else:
-        kth = np.partition(d2, scorer.k - 1, axis=1)[:, scorer.k - 1]
+    kth = np.clip(2.0 - 2.0 * _row_blocks(block, xq, train.shape[0]), 0.0, None)
     return -np.sqrt(kth)
 
 

@@ -7,6 +7,15 @@ explained-variance target. Scoring negates the reconstruction error
 ||U_q U_q^T (phi - mu) - (phi - mu)||_2, so higher scores mean more
 in-distribution.
 
+Fit and score run over row blocks (``linalg._row_blocks``), so no N x D
+mapped matrix is ever held. Fit maps one block at a time, takes the
+block's mean and its scatter about that mean, and merges them into the
+running pair with the pairwise update of Chan, Golub & LeVeque (1979):
+with n rows so far, m in the block and delta = mu_b - mu,
+S += S_b + delta delta^T * n * m / (n + m) and mu += delta * m / (n + m).
+Every term is a sum of squares about a mean, so centering stays stable;
+the naive sum(phi phi^T) - N mu mu^T would cancel catastrophically.
+
 The error is computed in one of two orientations, whichever needs the
 narrower GEMM. With q <= D - q it projects onto the retained basis U and
 back. With q > D - q it uses ||(I - U U^T) c|| = ||R^T c||, where R is an
@@ -38,7 +47,7 @@ from .errors import (
     MissingResidualBasisError,
 )
 from .featmap import FeatureMapSpec, map_apply
-from .linalg import as_feature_matrix, sym_eig
+from .linalg import _row_blocks, as_feature_matrix, sym_eig
 
 # Total variance below this means every mapped row is identical.
 DEGENERATE_VARIANCE = 1e-20
@@ -121,6 +130,31 @@ def choose_q(eigenvalues, evr_target: float) -> int:
     return min(int(np.searchsorted(ratios, evr_target, side="left")) + 1, positive)
 
 
+def _moments(phi: np.ndarray):
+    """Row count, mean and scatter about the mean of one block of mapped rows."""
+    mu = phi.mean(axis=0)
+    # Not in place: with the identity map, phi is the caller's own rows.
+    centered = phi - mu
+    return phi.shape[0], mu, centered.T @ centered
+
+
+def _merge_moments(acc, block):
+    """Chan-Golub-LeVeque pairwise merge of two (count, mean, scatter) triples.
+
+    Updates the accumulated mean and scatter in place; they are arrays the
+    fit allocated, never the caller's.
+    """
+    n, mu, scatter = acc
+    m, mu_b, scatter_b = block
+    delta = mu_b - mu
+    cross = np.outer(delta, delta)
+    cross *= n * m / (n + m)
+    scatter += scatter_b
+    scatter += cross
+    mu += delta * (m / (n + m))
+    return n + m, mu, scatter
+
+
 def fit(
     train,
     map_spec: FeatureMapSpec,
@@ -134,10 +168,10 @@ def fit(
     if not 0.0 < evr_target <= 1.0:
         raise ValueError(f"evr_target must be in (0, 1], got {evr_target}")
 
-    phi = map_apply(map_spec, x)
-    mu = phi.mean(axis=0)
-    centered = phi - mu
-    scatter = centered.T @ centered
+    _, mu, scatter = _row_blocks(
+        lambda rows: _moments(map_apply(map_spec, rows)),
+        x, map_spec.output_dim, fold=_merge_moments,
+    )
 
     eig = sym_eig(scatter)
     lam = np.clip(eig.eigenvalues, 0.0, None)
@@ -161,15 +195,30 @@ def fit(
     )
 
 
+def _residual_norms(model: DetectorModel, x, proj: np.ndarray) -> np.ndarray:
+    """Per-row norm of the part of the centered mapped row outside U.
+
+    ``proj`` is either the retained basis U, giving ||U U^T c - c||, or an
+    orthonormal basis R of U's complement, giving ||R^T c||.
+    """
+
+    def block(rows):
+        # Not in place: with the identity map, map_apply returns rows itself.
+        centered = map_apply(model.map_spec, rows) - model.mean
+        if proj is model.basis:
+            projected = (centered @ proj) @ proj.T
+            projected -= centered
+        else:
+            projected = centered @ proj
+        return np.linalg.norm(projected, axis=1)
+
+    return _row_blocks(block, x, proj.shape[0])
+
+
 def reconstruction_errors(model: DetectorModel, x) -> np.ndarray:
     """Per-row distance between the mapped row and its projection."""
-    # Not in place: with the identity map, map_apply returns x itself.
-    centered = map_apply(model.map_spec, x) - model.mean
-    if model.complement is not None:
-        return np.linalg.norm(centered @ model.complement, axis=1)
-    projected = (centered @ model.basis) @ model.basis.T
-    projected -= centered
-    return np.linalg.norm(projected, axis=1)
+    proj = model.basis if model.complement is None else model.complement
+    return _residual_norms(model, x, proj)
 
 
 def score_reconstruction(model: DetectorModel, x) -> np.ndarray:
@@ -188,5 +237,4 @@ def score_residual(model: DetectorModel, x) -> np.ndarray:
         raise MissingResidualBasisError(
             "model was fitted without store_residual=True"
         )
-    centered = map_apply(model.map_spec, x) - model.mean
-    return -np.linalg.norm(centered @ model.residual_basis, axis=1)
+    return -_residual_norms(model, x, model.residual_basis)

@@ -230,8 +230,10 @@ def median_heuristic_gamma(x, max_rows: int = 2000) -> float:
         raise InvalidBandwidthError("need at least 2 rows for the median heuristic")
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(np.sqrt(np.clip(d2[iu], 0.0, None))))
+    dist = d2[np.triu(np.ones((n, n), dtype=bool), k=1)]
+    np.clip(dist, 0.0, None, out=dist)
+    np.sqrt(dist, out=dist)
+    med = float(np.median(dist, overwrite_input=True))
     if med < ZERO_NORM_FLOOR:
         raise InvalidBandwidthError(
             "median pairwise distance is zero; cannot derive a bandwidth"

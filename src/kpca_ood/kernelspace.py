@@ -12,8 +12,9 @@ exp(-gamma * ||a - b||^2) to the normalized rows. The Gram matrix is left
 uncentered and the eigenvector columns unit-norm on purpose; the classical
 centered variant lives in the test suite as a spectral cross-check, not in
 the scoring path. Storing the full training matrix makes this path
-intentionally heavy: per-query cost and memory grow linearly with the
-training size.
+intentionally heavy: per-query cost grows linearly with the training size,
+and so does scoring memory, as block x N_tr cross-kernel temporaries for
+row blocks of the queries (``linalg._row_blocks``), never N x N_tr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     InvalidSpecError,
 )
 from .featmap import _normalize_valid_rows, normalize_rows
-from .linalg import as_feature_matrix, sym_eig
+from .linalg import _row_blocks, as_feature_matrix, sym_eig
 
 COSINE_KERNEL = "cosine"
 GAUSSIAN_KERNEL = "gaussian"
@@ -68,12 +69,21 @@ def _check_kernel(kernel_kind: str, gamma: float | None) -> float:
 def _cross_kernel(
     kernel_kind: str, gamma: float, a_unit: np.ndarray, b_unit: np.ndarray
 ) -> np.ndarray:
-    """Kernel values between unit-normalized row sets, shape (len(a), len(b))."""
-    dots = a_unit @ b_unit.T
+    """Kernel values between unit-normalized row sets, shape (len(a), len(b)).
+
+    The Gaussian kernel exp(-gamma * max(2 - 2 a.b, 0)) is computed in place
+    on the array the GEMM allocated, with the same roundings as the
+    out-of-place expression.
+    """
+    k = a_unit @ b_unit.T
     if kernel_kind == COSINE_KERNEL:
-        return dots
-    d2 = np.clip(2.0 - 2.0 * dots, 0.0, None)
-    return np.exp(-gamma * d2)
+        return k
+    k *= -2.0
+    k += 2.0
+    np.clip(k, 0.0, None, out=k)
+    k *= -gamma
+    np.exp(k, out=k)
+    return k
 
 
 def gram(kernel_kind: str, gamma: float | None, x) -> np.ndarray:
@@ -143,6 +153,10 @@ def score_kernelspace(model: KernelSpaceModel, x) -> np.ndarray:
         raise DimMismatchError(
             f"model expects dimension {model.train.shape[1]}, got {xq.shape[1]}"
         )
-    xq = _normalize_valid_rows(xq)
-    kq = _cross_kernel(model.kernel_kind, model.gamma, xq, model.train)
-    return -np.linalg.norm(kq @ model.residual_vectors, axis=1)
+
+    def block(rows):
+        xn = _normalize_valid_rows(rows)
+        kq = _cross_kernel(model.kernel_kind, model.gamma, xn, model.train)
+        return np.linalg.norm(kq @ model.residual_vectors, axis=1)
+
+    return -_row_blocks(block, xq, model.train.shape[0])

@@ -28,7 +28,7 @@ from kpca_ood.featmap import (
     map_apply,
     rff_build,
 )
-from kpca_ood.kernelspace import fit_kernelspace, score_kernelspace
+from kpca_ood.kernelspace import fit_kernelspace, gram, score_kernelspace
 
 FOUR_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.1], [0.0, -0.1]])
 
@@ -379,3 +379,36 @@ class TestInputsUnchanged:
             assert queries.tobytes() == before
         knn_score(build_knn(train, k=2), queries)
         assert queries.tobytes() == before
+
+    @pytest.mark.parametrize("blocks", ["one", "many"])
+    @pytest.mark.parametrize("kind", ["identity", "cosine", "rff"])
+    def test_fit_leaves_training_rows_unchanged(self, monkeypatch, kind, blocks):
+        # With the identity map the mapped rows are the caller's own array,
+        # so centering a block in place would rewrite the training set.
+        if blocks == "many":
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", 0)
+            monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(17)
+        d = 6
+        train = np.ascontiguousarray(rng.normal(size=(50, d)))
+        before = train.tobytes()
+        fit(train, _spec(kind, d, rng), evr_target=0.9, store_residual=True)
+        assert train.tobytes() == before
+
+    @pytest.mark.parametrize("blocks", ["one", "many"])
+    def test_gram_and_knn_builders_leave_training_rows_unchanged(
+        self, monkeypatch, blocks
+    ):
+        if blocks == "many":
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", 0)
+            monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(18)
+        train = np.ascontiguousarray(rng.normal(size=(30, 5)))
+        before = train.tobytes()
+        build_knn(train, k=2)
+        assert train.tobytes() == before
+        for kernel, gamma in (("cosine", None), ("gaussian", 0.8)):
+            gram(kernel, gamma, train)
+            assert train.tobytes() == before
+            fit_kernelspace(train, kernel, gamma=gamma, evr_target=0.8)
+            assert train.tobytes() == before
