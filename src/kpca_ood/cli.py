@@ -19,26 +19,24 @@ import numpy as np
 
 from . import fileio
 from .baselines import build_knn, fuse, knn_score, reg_pca_error
-from .detector import DetectorModel, fit as fit_detector, score_reconstruction
+from .detector import fit as fit_detector, score_reconstruction
 from .errors import (
     DataError,
     IndexMismatchError,
     KpcaOodError,
     NumericalError,
+    ZeroVectorError,
 )
 from .featmap import (
     IDENTITY_STAGE,
     ZERO_NORM_FLOOR,
-    cosine_rff_spec,
-    cosine_spec,
-    identity_spec,
+    FeatureMapSpec,
     median_heuristic_gamma,
     normalize_rows,
     rff_build,
 )
-from .fileio import ALL_METHODS, KERNEL_METHODS
+from .fileio import GRAM, METHODS
 from .kernelspace import (
-    GAUSSIAN_KERNEL,
     COSINE_KERNEL,
     KernelSpaceModel,
     fit_kernelspace,
@@ -51,8 +49,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-BENCH_METHODS = ALL_METHODS + ("knn",)
 
 
 class UsageError(Exception):
@@ -85,50 +81,43 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _resolve_gamma(args_gamma, train, method: str) -> float:
-    """Explicit --gamma wins; otherwise the median heuristic on the
-    cosine-normalized training rows (the input the kernel actually sees)."""
-    if args_gamma is not None:
-        _require(args_gamma > 0, f"--gamma must be > 0, got {args_gamma}")
-        return float(args_gamma)
-    gamma = median_heuristic_gamma(normalize_rows(train))
-    print(f"gamma defaulted by median heuristic: {gamma:.6g}")
-    return gamma
+def _check_fit_args(methods, evr, gamma, rff_dim) -> None:
+    """The argument gate of fit, sweep and bench, run before any file is read."""
+    _require(0.0 < evr <= 1.0, f"--evr must be in (0, 1], got {evr}")
+    if any(METHODS[m][0] == GRAM for m in methods):
+        _require(evr < 1.0, "--evr must be < 1 for kernel-matrix methods")
+    _require(rff_dim is None or rff_dim >= 1, f"--rff-dim must be >= 1, got {rff_dim}")
+    _require(gamma is None or gamma > 0, f"--gamma must be > 0, got {gamma}")
+
+
+def _rff_dim(rff_dim, dim: int) -> int:
+    """--rff-dim, or four times the input dimension when the flag is absent."""
+    return 4 * dim if rff_dim is None else rff_dim
 
 
 def _fit_model(method, train, evr, gamma, rff_dim, seed, store_residual=False):
+    """Fit ``method`` as its METHODS row says; gamma and rff_dim may be None.
+
+    An absent gamma is the median heuristic on the cosine-normalized
+    training rows (the input the kernel actually sees).
+    """
+    stage, kernel = METHODS[method]
+    if kernel not in (None, COSINE_KERNEL) and gamma is None:
+        gamma = median_heuristic_gamma(normalize_rows(train))
+        print(f"gamma defaulted by median heuristic: {gamma:.6g}")
+    if stage == GRAM:
+        return fit_kernelspace(train, kernel, gamma=gamma, evr_target=evr)
     dim = train.shape[1]
-    if method == "pca":
-        return fit_detector(train, identity_spec(dim), evr, store_residual)
-    if method == "cop":
-        return fit_detector(train, cosine_spec(dim), evr, store_residual)
-    if method in ("corp", "colp"):
-        m = int(rff_dim) if rff_dim else 4 * dim
-        _require(m >= 1, f"--rff-dim must be >= 1, got {m}")
-        g = _resolve_gamma(gamma, train, method)
-        kind = "gaussian" if method == "corp" else "laplacian"
-        rff = rff_build(kind, g, m, dim, seed)
-        return fit_detector(train, cosine_rff_spec(rff), evr, store_residual)
-    if method == "kcos":
-        return fit_kernelspace(train, COSINE_KERNEL, evr_target=evr)
-    if method == "kgau":
-        g = _resolve_gamma(gamma, train, method)
-        return fit_kernelspace(train, GAUSSIAN_KERNEL, gamma=g, evr_target=evr)
-    raise UsageError(f"unknown method {method!r}")
+    stages = (stage,)
+    if kernel is not None:
+        stages += (rff_build(kernel, gamma, _rff_dim(rff_dim, dim), dim, seed),)
+    return fit_detector(train, FeatureMapSpec(stages, dim), evr, store_residual)
 
 
 def _model_scores(model, x) -> np.ndarray:
     if isinstance(model, KernelSpaceModel):
         return score_kernelspace(model, x)
     return score_reconstruction(model, x)
-
-
-def _rows_needing_direction(model, kind: str) -> bool:
-    if kind == "reg-error":
-        return True
-    if isinstance(model, KernelSpaceModel):
-        return True
-    return IDENTITY_STAGE not in tuple(model.map_spec.stages)
 
 
 # ---------------------------------------------------------------- commands
@@ -155,9 +144,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _require(0.0 < args.evr <= 1.0, f"--evr must be in (0, 1], got {args.evr}")
-    if args.method in KERNEL_METHODS:
-        _require(args.evr < 1.0, "--evr must be < 1 for kernel-matrix methods")
+    _check_fit_args([args.method], args.evr, args.gamma, args.rff_dim)
     train = fileio.load_features(args.train)
     t0 = time.perf_counter()
     model = _fit_model(
@@ -184,32 +171,32 @@ def cmd_score(args) -> int:
     x = fileio.load_features(args.features)
     if args.kind == "reg-error":
         _require(
-            isinstance(model, DetectorModel)
-            and tuple(model.map_spec.stages) == (IDENTITY_STAGE,),
+            METHODS[fileio.method_for_model(model)][0] == IDENTITY_STAGE,
             "--kind reg-error needs a plain pca model",
         )
 
-    keep = np.arange(x.shape[0])
-    if _rows_needing_direction(model, args.kind):
-        norms = np.linalg.norm(x, axis=1)
-        bad = np.flatnonzero(norms < ZERO_NORM_FLOOR)
-        if bad.size and not args.skip_bad_rows:
-            raise DataError(
-                f"row {int(bad[0])} has zero norm "
-                "(rerun with --skip-bad-rows to drop such rows)"
-            )
-        for i in bad:
-            print(f"skipping zero-norm row {int(i)}", file=sys.stderr)
-        if bad.size:
-            keep = np.setdiff1d(keep, bad)
-            x = x[keep]
+    def score(rows):
+        if args.kind == "reg-error":
+            return reg_pca_error(model, rows)
+        values = _model_scores(model, rows)
+        return -values if args.kind == "error" else values
 
-    if args.kind == "score":
-        values = _model_scores(model, x)
-    elif args.kind == "error":
-        values = -_model_scores(model, x)
-    else:
-        values = reg_pca_error(model, x)
+    keep = np.arange(x.shape[0])
+    try:
+        values = score(x)
+    except ZeroVectorError as exc:
+        if exc.row_index is None:
+            raise
+        if not args.skip_bad_rows:
+            raise DataError(
+                f"row {exc.row_index} has zero norm "
+                "(rerun with --skip-bad-rows to drop such rows)"
+            ) from None
+        zero = np.linalg.norm(x, axis=1) < ZERO_NORM_FLOOR
+        for i in np.flatnonzero(zero):
+            print(f"skipping zero-norm row {int(i)}", file=sys.stderr)
+        keep = np.flatnonzero(~zero)
+        values = score(x[keep])
     fileio.save_scores(args.out, keep, values)
     print(f"wrote {args.out} ({values.size} rows)")
     return EXIT_OK
@@ -274,35 +261,36 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _require(args.param in ("evr", "gamma", "rff-dim"), "unknown --param")
-    if args.param == "evr":
-        pass
-    elif args.method not in ("corp", "colp", "kgau"):
-        raise UsageError(f"--param {args.param} needs an rff/kernel-width method")
-    if args.param == "rff-dim":
-        _require(args.method in ("corp", "colp"), "--param rff-dim needs corp/colp")
+    stage, kernel = METHODS[args.method]
+    applies = {
+        "evr": True,
+        "gamma": kernel not in (None, COSINE_KERNEL),
+        "rff-dim": stage != GRAM and kernel is not None,
+    }
+    _require(applies[args.param], f"--param {args.param} is not a {args.method} input")
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError:
         raise UsageError(f"--values must be numeric, got {args.values!r}") from None
     _require(bool(values), "--values is empty")
+    points = []
+    for value in values:
+        point = dict(evr=args.evr, gamma=args.gamma, rff_dim=args.rff_dim)
+        point[args.param.replace("-", "_")] = (
+            int(value) if args.param == "rff-dim" else value
+        )
+        _check_fit_args([args.method], **point)
+        points.append((value, point))
 
     train = fileio.load_features(args.train)
     ind = fileio.load_features(args.ind)
     ood = fileio.load_features(args.ood)
 
     rows, failed = [], 0
-    for value in values:
-        evr, gamma, rff_dim = args.evr, args.gamma, args.rff_dim
-        if args.param == "evr":
-            evr = value
-        elif args.param == "gamma":
-            gamma = value
-        else:
-            rff_dim = int(value)
+    for value, point in points:
         try:
             t0 = time.perf_counter()
-            model = _fit_model(args.method, train, evr, gamma, rff_dim, args.seed)
+            model = _fit_model(args.method, train, seed=args.seed, **point)
             rep = evaluate(
                 _model_scores(model, ind), _model_scores(model, ood), args.tpr
             )
@@ -321,8 +309,10 @@ def cmd_sweep(args) -> int:
 def cmd_bench(args) -> int:
     methods = [m for m in args.methods.split(",") if m]
     for m in methods:
-        _require(m in BENCH_METHODS, f"unknown bench method {m!r}")
+        _require(m in METHODS or m == "knn", f"unknown bench method {m!r}")
     _require(args.queries >= 0, "--queries must be >= 0")
+    _check_fit_args([m for m in methods if m in METHODS], args.evr, args.gamma,
+                    args.rff_dim)
     train = fileio.load_features(args.train)
 
     prng_rows = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
@@ -330,7 +320,7 @@ def cmd_bench(args) -> int:
     queries = train[pick]
 
     scorers, store_bytes = {}, {}
-    rff_dim = int(args.rff_dim) if args.rff_dim else 4 * train.shape[1]
+    rff_dim = _rff_dim(args.rff_dim, train.shape[1])
     with tempfile.TemporaryDirectory() as tmp:
         for m in methods:
             if m == "knn":
@@ -382,7 +372,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit a detector on a training feature file")
     p.add_argument("--train", required=True)
-    p.add_argument("--method", required=True, choices=ALL_METHODS)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--evr", type=float, default=0.90)
     p.add_argument("--gamma", type=float)
     p.add_argument("--rff-dim", type=int)
@@ -422,7 +412,7 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--ind", required=True)
     p.add_argument("--ood", required=True)
-    p.add_argument("--method", required=True, choices=ALL_METHODS)
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--evr", type=float, default=0.90)
     p.add_argument("--gamma", type=float)
     p.add_argument("--rff-dim", type=int)

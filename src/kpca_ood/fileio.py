@@ -5,18 +5,20 @@ Feature container ("OODF"): magic, version byte 0x01, u32 rows, u32 cols
 for features and for logits. Storage is 32-bit to match typical feature
 exports; everything computes in 64-bit after load.
 
-Model container ("OODM"): magic, version byte 0x01, method byte, then a
-method-family payload with all reals as little-endian float64:
+Model container ("OODM"): magic, version byte 0x01, method byte (the
+tag's position in ``METHODS``), then a method-family payload with all
+reals as little-endian float64:
 
   covariance family (pca, cop, corp, colp):
       evr_target f64, input_dim u32, feature_dim u32, q u32, flags u8
       (bit0 = has frequencies block, bit1 = has residual basis),
-      [kernel u8, gamma f64, M u32, d_in u32, seed u64,
+      [kernel u8 (the method's: 0 gaussian, 1 laplacian), gamma f64 > 0,
+       M u32, d_in u32 (= input_dim), seed u64,
        omegas M*d_in row-major, biases M],
       mean D, eigenvalues D, basis D*q column-major,
       [residual basis D*(D-q) column-major]
 
-  kernel family (kcos, kgau):
+  kernel family (kcos, kgau; kgau's gamma > 0):
       evr_target f64, gamma f64, n_train u32, input_dim u32, l u32,
       train N*m row-major (normalized rows), vectors N*l column-major
 
@@ -40,10 +42,8 @@ from .featmap import (
     GAUSSIAN,
     IDENTITY_STAGE,
     LAPLACIAN,
+    FeatureMapSpec,
     RffMap,
-    cosine_rff_spec,
-    cosine_spec,
-    identity_spec,
 )
 from .kernelspace import COSINE_KERNEL, GAUSSIAN_KERNEL, KernelSpaceModel
 from .linalg import as_feature_matrix
@@ -52,19 +52,20 @@ FEATURE_MAGIC = b"OODF"
 MODEL_MAGIC = b"OODM"
 VERSION = 1
 
-METHOD_PCA = "pca"
-METHOD_COP = "cop"
-METHOD_CORP = "corp"
-METHOD_COLP = "colp"
-METHOD_KCOS = "kcos"
-METHOD_KGAU = "kgau"
-
-COVARIANCE_METHODS = (METHOD_PCA, METHOD_COP, METHOD_CORP, METHOD_COLP)
-KERNEL_METHODS = (METHOD_KCOS, METHOD_KGAU)
-ALL_METHODS = COVARIANCE_METHODS + KERNEL_METHODS
-
-_METHOD_BYTE = {name: i for i, name in enumerate(ALL_METHODS)}
-_BYTE_METHOD = {i: name for name, i in _METHOD_BYTE.items()}
+# tag -> (map stage, kernel). A covariance method maps rows through its
+# stage, then through random Fourier features of its kernel if it has one;
+# a GRAM method eigendecomposes its kernel's Gram matrix over the stored
+# training rows. A tag's position is its method byte.
+GRAM = "gram"
+METHODS = {
+    "pca": (IDENTITY_STAGE, None),
+    "cop": (COSINE_STAGE, None),
+    "corp": (COSINE_STAGE, GAUSSIAN),
+    "colp": (COSINE_STAGE, LAPLACIAN),
+    "kcos": (GRAM, COSINE_KERNEL),
+    "kgau": (GRAM, GAUSSIAN_KERNEL),
+}
+_RFF_KERNELS = (GAUSSIAN, LAPLACIAN)  # a kernel byte is the position here
 
 _U32_MAX = 2**32 - 1
 
@@ -114,21 +115,20 @@ def load_features(path) -> np.ndarray:
 
 
 def method_for_model(model) -> str:
-    """Canonical method tag for a fitted model, from its structure."""
+    """Canonical method tag for a fitted model: the tag of the METHODS row
+    its structure matches."""
+    row = None
     if isinstance(model, KernelSpaceModel):
-        return METHOD_KCOS if model.kernel_kind == COSINE_KERNEL else METHOD_KGAU
-    if isinstance(model, DetectorModel):
-        stages = tuple(model.map_spec.stages)
-        if stages == (IDENTITY_STAGE,):
-            return METHOD_PCA
-        if stages == (COSINE_STAGE,):
-            return METHOD_COP
-        if (
-            len(stages) == 2
-            and stages[0] == COSINE_STAGE
-            and isinstance(stages[1], RffMap)
-        ):
-            return METHOD_CORP if stages[1].kernel_kind == GAUSSIAN else METHOD_COLP
+        row = (GRAM, model.kernel_kind)
+    elif isinstance(model, DetectorModel):
+        first, *rest = model.map_spec.stages
+        if not rest:
+            row = (first, None)
+        elif len(rest) == 1 and isinstance(rest[0], RffMap):
+            row = (first, rest[0].kernel_kind)
+    for tag, method_row in METHODS.items():
+        if method_row == row:
+            return tag
     raise FormatError("model layout has no canonical method tag")
 
 
@@ -137,14 +137,13 @@ def _pack_f64(a: np.ndarray, order: str) -> bytes:
 
 
 def save_model(path, model) -> None:
-    method = method_for_model(model)
-    parts = [struct.pack("<4sBB", MODEL_MAGIC, VERSION, _METHOD_BYTE[method])]
-    if isinstance(model, DetectorModel):
+    tag = method_for_model(model)
+    stage, kernel = METHODS[tag]
+    parts = [struct.pack("<4sBB", MODEL_MAGIC, VERSION, list(METHODS).index(tag))]
+    if stage != GRAM:
         d = model.feature_dim
         q = model.q
-        rff = None
-        if method in (METHOD_CORP, METHOD_COLP):
-            rff = model.map_spec.stages[1]
+        rff = model.map_spec.stages[1] if kernel is not None else None
         flags = (1 if rff is not None else 0) | (
             2 if model.residual_basis is not None else 0
         )
@@ -157,7 +156,7 @@ def save_model(path, model) -> None:
             parts.append(
                 struct.pack(
                     "<BdIIQ",
-                    0 if rff.kernel_kind == GAUSSIAN else 1,
+                    _RFF_KERNELS.index(kernel),
                     rff.gamma,
                     rff.n_features,
                     rff.input_dim,
@@ -224,40 +223,36 @@ def load_model(path):
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if method_byte not in _BYTE_METHOD:
+    if method_byte >= len(METHODS):
         raise FormatError(f"{path}: unknown method byte {method_byte}")
-    method = _BYTE_METHOD[method_byte]
+    method = list(METHODS)[method_byte]
+    stage, kernel = METHODS[method]
 
-    if method in COVARIANCE_METHODS:
+    if stage != GRAM:
         evr, input_dim, d, q, flags = r.unpack("<dIIIB")
         if not 1 <= q <= d:
             raise FormatError(f"{path}: q {q} outside [1, feature_dim {d}]")
-        has_rff = bool(flags & 1)
-        has_residual = bool(flags & 2)
-        if has_rff != (method in (METHOD_CORP, METHOD_COLP)):
+        if bool(flags & 1) != (kernel is not None):
             raise FormatError(f"{path}: flags disagree with method {method}")
-        if has_rff:
+        stages = (stage,)
+        if kernel is not None:
             kernel_byte, gamma, m, d_in, seed = r.unpack("<BdIIQ")
+            if kernel_byte != _RFF_KERNELS.index(kernel):
+                raise FormatError(f"{path}: bad kernel byte {kernel_byte} for {method}")
+            if not 0 < gamma < math.inf:
+                raise FormatError(f"{path}: gamma {gamma} is not finite and > 0")
+            if d_in != input_dim:
+                raise FormatError(f"{path}: d_in {d_in} != input_dim {input_dim}")
             omegas = r.f64(m * d_in, (m, d_in), "C")
             biases = r.f64(m, (m,), "C")
-            rff = RffMap(
-                kernel_kind=GAUSSIAN if kernel_byte == 0 else LAPLACIAN,
-                gamma=gamma,
-                omegas=omegas,
-                biases=biases,
-                seed=int(seed),
-            )
-            spec = cosine_rff_spec(rff)
-        elif method == METHOD_PCA:
-            spec = identity_spec(input_dim)
-        else:
-            spec = cosine_spec(input_dim)
+            stages += (RffMap(kernel, gamma, omegas, biases, int(seed)),)
+        spec = FeatureMapSpec(stages=stages, input_dim=input_dim)
         if spec.output_dim != d:
             raise FormatError(f"{path}: feature_dim {d} inconsistent with map")
         mean = r.f64(d, (d,), "C")
         eigenvalues = r.f64(d, (d,), "C")
         basis = r.f64(d * q, (d, q), "F")
-        residual = r.f64(d * (d - q), (d, d - q), "F") if has_residual else None
+        residual = r.f64(d * (d - q), (d, d - q), "F") if flags & 2 else None
         r.done()
         return DetectorModel(
             map_spec=spec,
@@ -272,11 +267,13 @@ def load_model(path):
     evr, gamma, n, m, l = r.unpack("<ddIII")
     if not 1 <= l <= n:
         raise FormatError(f"{path}: l {l} outside [1, n_train {n}]")
+    if kernel == GAUSSIAN_KERNEL and not 0 < gamma < math.inf:
+        raise FormatError(f"{path}: gamma {gamma} is not finite and > 0")
     train = r.f64(n * m, (n, m), "C")
     vectors = r.f64(n * l, (n, l), "F")
     r.done()
     return KernelSpaceModel(
-        kernel_kind=COSINE_KERNEL if method == METHOD_KCOS else GAUSSIAN_KERNEL,
+        kernel_kind=kernel,
         gamma=float(gamma),
         train=train,
         residual_vectors=vectors,

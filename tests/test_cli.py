@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from kpca_ood import fileio
+from kpca_ood import fileio, linalg
+from kpca_ood.baselines import reg_pca_error
 from kpca_ood.cli import build_parser, main
+from kpca_ood.detector import score_reconstruction
 from kpca_ood.errors import IndexMismatchError
+from kpca_ood.kernelspace import KernelSpaceModel, score_kernelspace
 
 
 def run(*argv):
@@ -303,3 +306,167 @@ class TestModelRoundTripThroughCli:
         s1 = score_reconstruction(direct, x)
         s2 = score_reconstruction(fileio.load_model(m), x)
         assert np.array_equal(s1, s2)
+
+
+class TestFitArgumentGate:
+    # Files that do not exist: the gate must reject the arguments before
+    # any file is read, so the exit code is 1 (usage), never 2 (data).
+    BAD = [
+        ("kcos", ("--evr", 1.0)),
+        ("pca", ("--evr", 1.5)),
+        ("corp", ("--rff-dim", 0)),
+        ("corp", ("--gamma", -1.0)),
+    ]
+    IDS = ["kcos-evr-1", "pca-evr-1.5", "corp-rff-dim-0", "corp-gamma-neg"]
+
+    @pytest.mark.parametrize("method,bad", BAD, ids=IDS)
+    def test_fit(self, tmp_path, method, bad):
+        assert run("fit", "--train", tmp_path / "none.oodf", "--method", method,
+                   *bad, "--out", tmp_path / "m.oodm") == 1
+
+    @pytest.mark.parametrize("method,bad", BAD, ids=IDS)
+    def test_bench(self, tmp_path, method, bad):
+        assert run("bench", "--train", tmp_path / "none.oodf", "--queries", 4,
+                   "--methods", f"knn,{method}", *bad) == 1
+
+    @pytest.mark.parametrize("method,bad", BAD, ids=IDS)
+    def test_sweep(self, tmp_path, method, bad):
+        missing = tmp_path / "none.oodf"
+        param, value = bad[0][2:], bad[1]
+        # the bad value comes second: every value of the grid is checked
+        good = {"evr": 0.5, "rff-dim": 8, "gamma": 1.0}[param]
+        assert run("sweep", "--param", param, "--values", f"{good},{value}",
+                   "--train", missing, "--ind", missing, "--ood", missing,
+                   "--method", method) == 1
+
+
+class TestRffDimZero:
+    def test_fit(self, synth_files, tmp_path):
+        ind, _ = synth_files
+        assert run("fit", "--train", ind, "--method", "corp", "--rff-dim", 0,
+                   "--out", tmp_path / "m.oodm") == 1
+        assert not (tmp_path / "m.oodm").exists()
+
+    def test_bench(self, synth_files, capsys):
+        ind, _ = synth_files
+        assert run("bench", "--train", ind, "--queries", 4, "--methods", "corp",
+                   "--rff-dim", 0, "--warmup", 1, "--reps", 1) == 1
+        assert "rff_dim" not in capsys.readouterr().out
+
+    def test_sweep(self, synth_files, capsys):
+        ind, ood = synth_files
+        assert run("sweep", "--param", "rff-dim", "--values", "0",
+                   "--train", ind, "--ind", ind, "--ood", ood,
+                   "--method", "corp", "--gamma", 1.0) == 1
+        assert capsys.readouterr().out == ""
+
+
+class TestScoreZeroRows:
+    ZERO = 1
+    MESSAGE = ("data error: row {} has zero norm "
+               "(rerun with --skip-bad-rows to drop such rows)\n")
+
+    def _files(self, tmp_path, method, n_rows=4, zero=ZERO):
+        rng = np.random.default_rng(3)
+        train = tmp_path / "t.oodf"
+        fileio.save_features(train, rng.normal(size=(40, 3)))
+        model_path = tmp_path / "m.oodm"
+        assert run("fit", "--train", train, "--method", method, "--gamma", 0.5,
+                   "--out", model_path) == 0
+        x = rng.normal(size=(n_rows, 3))
+        x[zero] = 0.0
+        feat = tmp_path / "x.oodf"
+        fileio.save_features(feat, x)
+        return model_path, feat
+
+    def _expected_csv(self, tmp_path, model_path, feat, kind, keep):
+        # The rows that are kept, scored by the library directly.
+        model = fileio.load_model(model_path)
+        x = fileio.load_features(feat)[keep]
+        if kind == "reg-error":
+            values = reg_pca_error(model, x)
+        elif isinstance(model, KernelSpaceModel):
+            values = score_kernelspace(model, x)
+        else:
+            values = score_reconstruction(model, x)
+        if kind == "error":
+            values = -values
+        ref = tmp_path / "ref.csv"
+        fileio.save_scores(ref, keep, values)
+        return ref.read_bytes()
+
+    CASES = [
+        ("cop", "score"), ("corp", "error"), ("kcos", "score"),
+        ("kgau", "score"), ("pca", "reg-error"),
+    ]
+
+    @pytest.mark.parametrize("method,kind", CASES)
+    def test_aborts_without_flag(self, tmp_path, capsys, method, kind):
+        model_path, feat = self._files(tmp_path, method)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        assert run("score", "--model", model_path, "--features", feat,
+                   "--kind", kind, "--out", out) == 2
+        assert capsys.readouterr().err == self.MESSAGE.format(self.ZERO)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method,kind", CASES)
+    def test_skipped_with_flag(self, tmp_path, capsys, method, kind):
+        model_path, feat = self._files(tmp_path, method)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        assert run("score", "--model", model_path, "--features", feat,
+                   "--kind", kind, "--skip-bad-rows", "--out", out) == 0
+        assert capsys.readouterr().err == f"skipping zero-norm row {self.ZERO}\n"
+        keep = np.array([0, 2, 3])
+        assert out.read_bytes() == self._expected_csv(
+            tmp_path, model_path, feat, kind, keep)
+
+    def test_pca_scores_a_zero_row(self, tmp_path, capsys):
+        model_path, feat = self._files(tmp_path, "pca")
+        out = tmp_path / "s.csv"
+        assert run("score", "--model", model_path, "--features", feat,
+                   "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == self._expected_csv(
+            tmp_path, model_path, feat, "score", np.arange(4))
+
+    @pytest.mark.parametrize("method", ["cop", "kgau"])
+    def test_zero_row_after_first_block(self, tmp_path, capsys, monkeypatch, method):
+        # 64-row blocks: row 150 lies in the third block.
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 0)
+        model_path, feat = self._files(tmp_path, method, n_rows=200, zero=150)
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        assert run("score", "--model", model_path, "--features", feat,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == self.MESSAGE.format(150)
+        assert run("score", "--model", model_path, "--features", feat,
+                   "--skip-bad-rows", "--out", out) == 0
+        assert capsys.readouterr().err == "skipping zero-norm row 150\n"
+        keep = np.delete(np.arange(200), 150)
+        assert out.read_bytes() == self._expected_csv(
+            tmp_path, model_path, feat, "score", keep)
+
+
+class TestMethodTable:
+    # The method byte each tag has always been written with.
+    BYTE = {"pca": 0, "cop": 1, "corp": 2, "colp": 3, "kcos": 4, "kgau": 5}
+
+    @pytest.mark.parametrize("method", list(fileio.METHODS))
+    def test_fit_save_reload(self, synth_files, tmp_path, method):
+        ind, _ = synth_files
+        model_path = tmp_path / "m.oodm"
+        assert run("fit", "--train", ind, "--method", method, "--seed", 2,
+                   "--out", model_path) == 0
+        assert fileio.method_for_model(fileio.load_model(model_path)) == method
+        assert model_path.read_bytes()[5] == self.BYTE[method]
+
+    def test_cli_choices_are_the_table(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        for command in ("fit", "sweep"):
+            action = next(a for a in sub.choices[command]._actions
+                          if a.dest == "method")
+            assert list(action.choices) == list(fileio.METHODS)
+        assert set(self.BYTE) == set(fileio.METHODS)

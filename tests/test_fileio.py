@@ -157,6 +157,53 @@ class TestModelContainer:
         with pytest.raises(FormatError, match="outside"):
             load_model(p)
 
+    def _patched(self, tmp_path, model, offset, fmt, value):
+        # Save the model, then overwrite one header field in place.
+        p = tmp_path / "m.oodm"
+        save_model(p, model)
+        blob = bytearray(p.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        p.write_bytes(bytes(blob))
+        return p
+
+    def _corp_model(self):
+        rng = np.random.default_rng(11)
+        rff = rff_build("gaussian", 0.8, 10, 3, seed=4)
+        return fit(rng.normal(size=(30, 3)), cosine_rff_spec(rff), evr_target=0.9)
+
+    # Covariance header: magic 4, version 1, method 1, evr f64 @6,
+    # input_dim u32 @14, feature_dim @18, q @22, flags u8 @26; then the
+    # frequencies block: kernel u8 @27, gamma f64 @28, M @36, d_in @40.
+
+    @pytest.mark.parametrize("kernel_byte", [1, 7])
+    def test_rff_kernel_byte_must_match_method(self, tmp_path, kernel_byte):
+        # corp names the gaussian kernel (byte 0); 1 is laplacian's byte
+        # and 7 names no kernel.
+        p = self._patched(tmp_path, self._corp_model(), 27, "<B", kernel_byte)
+        with pytest.raises(FormatError, match="kernel byte"):
+            load_model(p)
+
+    def test_rff_d_in_must_match_input_dim(self, tmp_path):
+        p = self._patched(tmp_path, self._corp_model(), 14, "<I", 4)
+        with pytest.raises(FormatError, match="d_in"):
+            load_model(p)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+    def test_rff_gamma_must_be_positive(self, tmp_path, gamma):
+        p = self._patched(tmp_path, self._corp_model(), 28, "<d", gamma)
+        with pytest.raises(FormatError, match="gamma"):
+            load_model(p)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+    def test_kgau_gamma_must_be_positive(self, tmp_path, gamma):
+        # Gram header: evr f64 @6, gamma f64 @14.
+        rng = np.random.default_rng(12)
+        model = fit_kernelspace(rng.normal(size=(12, 3)), "gaussian", gamma=0.9,
+                                evr_target=0.8)
+        p = self._patched(tmp_path, model, 14, "<d", gamma)
+        with pytest.raises(FormatError, match="gamma"):
+            load_model(p)
+
     @pytest.mark.parametrize("l", [0, 6])
     def test_gram_l_outside_train_rows_rejected(self, tmp_path, l):
         # kcos model with n_train = 5 rows of input_dim 2.
