@@ -29,12 +29,7 @@ from .errors import (
     NonFiniteError,
     ZeroVectorError,
 )
-from .featmap import (
-    IDENTITY_STAGE,
-    ZERO_NORM_FLOOR,
-    _normalize_valid_rows,
-    normalize_rows,
-)
+from .featmap import IDENTITY_STAGE, normalize_rows, row_norms
 from .linalg import _row_blocks, as_feature_matrix
 
 
@@ -57,26 +52,19 @@ def build_knn(train, k: int = 1) -> KnnScorer:
 
 def knn_score(scorer: KnnScorer, x) -> np.ndarray:
     """Negated k-th smallest distance to the stored rows, per query row."""
-    xq = as_feature_matrix(x)
-    if xq.shape[1] != scorer.train_normalized.shape[1]:
-        raise DimMismatchError(
-            f"expected dimension {scorer.train_normalized.shape[1]}, "
-            f"got {xq.shape[1]}"
-        )
-    if scorer.k > scorer.train_normalized.shape[0]:
-        raise KTooLargeError(
-            f"k={scorer.k} exceeds {scorer.train_normalized.shape[0]} stored rows"
-        )
     train, k = scorer.train_normalized, scorer.k
+    if k > train.shape[0]:
+        raise KTooLargeError(f"k={k} exceeds {train.shape[0]} stored rows")
 
     def block(rows):
-        sims = _normalize_valid_rows(rows) @ train.T
+        sims = normalize_rows(rows, dim=train.shape[1]) @ train.T
         if k == 1:
             return sims.max(axis=1)
-        return np.partition(sims, -k, axis=1)[:, -k]
+        # A copy: a view would keep the block's whole partition alive.
+        return np.partition(sims, -k, axis=1)[:, -k].copy()
 
     # unit rows on both sides: ||a-b||^2 = 2 - 2 a.b
-    kth = np.clip(2.0 - 2.0 * _row_blocks(block, xq, train.shape[0]), 0.0, None)
+    kth = np.clip(2.0 - 2.0 * _row_blocks(block, x, train.shape[0]), 0.0, None)
     return -np.sqrt(kth)
 
 
@@ -110,13 +98,17 @@ def reg_pca_error(model: DetectorModel, x) -> np.ndarray:
     """
     if tuple(model.map_spec.stages) != (IDENTITY_STAGE,):
         raise ValueError("regularized error needs an identity-map model")
-    xq = as_feature_matrix(x)
-    norms = np.linalg.norm(xq, axis=1)
-    bad = np.flatnonzero(norms < ZERO_NORM_FLOOR)
-    if bad.size:
-        i = int(bad[0])
-        raise ZeroVectorError(f"row {i} has zero norm", row_index=i)
-    return reconstruction_errors(model, xq) / norms
+
+    def block(rows):
+        rows = as_feature_matrix(rows, dim=model.map_spec.input_dim)
+        norms, zero = row_norms(rows)
+        if zero.size:
+            i = int(zero[0])
+            raise ZeroVectorError(f"row {i} has zero norm", row_index=i)
+        return reconstruction_errors(model, rows) / norms
+
+    # The width of reconstruction_errors' own blocks, so it runs each whole.
+    return _row_blocks(block, x, model.feature_dim)
 
 
 def fuse(e_values, base_scores) -> np.ndarray:

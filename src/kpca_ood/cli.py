@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -29,11 +30,11 @@ from .errors import (
 )
 from .featmap import (
     IDENTITY_STAGE,
-    ZERO_NORM_FLOOR,
     FeatureMapSpec,
     median_heuristic_gamma,
     normalize_rows,
     rff_build,
+    row_norms,
 )
 from .fileio import GRAM, METHODS
 from .kernelspace import (
@@ -86,13 +87,18 @@ def _check_fit_args(methods, evr, gamma, rff_dim) -> None:
     _require(0.0 < evr <= 1.0, f"--evr must be in (0, 1], got {evr}")
     if any(METHODS[m][0] == GRAM for m in methods):
         _require(evr < 1.0, "--evr must be < 1 for kernel-matrix methods")
-    _require(rff_dim is None or rff_dim >= 1, f"--rff-dim must be >= 1, got {rff_dim}")
+    if rff_dim is not None:
+        # A sweep value arrives as a float; :g prints an integral one as before.
+        _require(float(rff_dim).is_integer(),
+                 f"--rff-dim must be an integer, got {rff_dim:g}")
+        _require(rff_dim >= 1, f"--rff-dim must be >= 1, got {rff_dim:g}")
     _require(gamma is None or gamma > 0, f"--gamma must be > 0, got {gamma}")
+    _require(gamma is None or gamma < math.inf, f"--gamma must be finite, got {gamma}")
 
 
 def _rff_dim(rff_dim, dim: int) -> int:
     """--rff-dim, or four times the input dimension when the flag is absent."""
-    return 4 * dim if rff_dim is None else rff_dim
+    return 4 * dim if rff_dim is None else int(rff_dim)
 
 
 def _fit_model(method, train, evr, gamma, rff_dim, seed, store_residual=False):
@@ -192,10 +198,10 @@ def cmd_score(args) -> int:
                 f"row {exc.row_index} has zero norm "
                 "(rerun with --skip-bad-rows to drop such rows)"
             ) from None
-        zero = np.linalg.norm(x, axis=1) < ZERO_NORM_FLOOR
-        for i in np.flatnonzero(zero):
+        zero = row_norms(x)[1]
+        for i in zero:
             print(f"skipping zero-norm row {int(i)}", file=sys.stderr)
-        keep = np.flatnonzero(~zero)
+        keep = np.delete(keep, zero)
         values = score(x[keep])
     fileio.save_scores(args.out, keep, values)
     print(f"wrote {args.out} ({values.size} rows)")
@@ -276,9 +282,7 @@ def cmd_sweep(args) -> int:
     points = []
     for value in values:
         point = dict(evr=args.evr, gamma=args.gamma, rff_dim=args.rff_dim)
-        point[args.param.replace("-", "_")] = (
-            int(value) if args.param == "rff-dim" else value
-        )
+        point[args.param.replace("-", "_")] = value
         _check_fit_args([args.method], **point)
         points.append((value, point))
 

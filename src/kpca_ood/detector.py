@@ -47,7 +47,7 @@ from .errors import (
     MissingResidualBasisError,
 )
 from .featmap import FeatureMapSpec, map_apply
-from .linalg import _row_blocks, as_feature_matrix, sym_eig
+from .linalg import _row_blocks, sym_eig
 
 # Total variance below this means every mapped row is identical.
 DEGENERATE_VARIANCE = 1e-20
@@ -161,17 +161,18 @@ def fit(
     evr_target: float = DEFAULT_EVR,
     store_residual: bool = False,
 ) -> DetectorModel:
-    """Fit the mapped-space PCA model on in-distribution training rows."""
-    x = as_feature_matrix(train, "train")
-    if x.shape[0] < 2:
-        raise ValueError(f"need at least 2 training rows, got {x.shape[0]}")
+    """Fit the mapped-space PCA model on in-distribution training rows.
+
+    ``map_apply`` validates each block of ``train`` as it maps it.
+    """
     if not 0.0 < evr_target <= 1.0:
         raise ValueError(f"evr_target must be in (0, 1], got {evr_target}")
-
-    _, mu, scatter = _row_blocks(
+    n, mu, scatter = _row_blocks(
         lambda rows: _moments(map_apply(map_spec, rows)),
-        x, map_spec.output_dim, fold=_merge_moments,
+        train, map_spec.output_dim, fold=_merge_moments,
     )
+    if n < 2:
+        raise ValueError(f"need at least 2 training rows, got {n}")
 
     eig = sym_eig(scatter)
     lam = np.clip(eig.eigenvalues, 0.0, None)

@@ -8,10 +8,12 @@ for the exponential-of-L1 kernel exp(-gamma*||a-b||_1); phases are uniform
 on [0, 2*pi). A map is frozen once built: applying it is pure, and the
 stored frequencies/phases (not the seed) are authoritative.
 
-``map_apply`` validates its input once; the stages after it trust the
-validated rows. The Fourier stage works in place on the one N x M array it
-allocates (GEMM, phase, cosine, scale), so it never writes to its input and
-holds a single N x M temporary.
+``map_apply`` passes its input through the ingestion gate
+(``linalg.as_feature_matrix``) with the map's input width; the stages after
+it trust the validated rows. The Fourier stage works in place on the one
+N x M array it allocates (GEMM, phase, cosine, scale), so it never writes
+to its input and holds a single N x M temporary. ``row_norms`` holds the
+one zero-norm rule, for this module and for its callers elsewhere.
 """
 
 from __future__ import annotations
@@ -55,17 +57,26 @@ def cosine_apply(z) -> np.ndarray:
     return v / n
 
 
-def normalize_rows(x: np.ndarray, name: str = "features") -> np.ndarray:
+def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean norm of every row, and the indices of the zero-norm rows.
+
+    A row is zero when its norm is below ZERO_NORM_FLOOR: it has no
+    direction, which indicates upstream corruption rather than a sample.
+    """
+    norms = np.linalg.norm(x, axis=1)
+    return norms, np.flatnonzero(norms < ZERO_NORM_FLOOR)
+
+
+def normalize_rows(x, name: str = "features", dim: int | None = None) -> np.ndarray:
     """Unit-normalize every row; reports the first degenerate row index."""
-    return _normalize_valid_rows(as_feature_matrix(x, name), name)
+    return _normalize_valid_rows(as_feature_matrix(x, name, dim), name)
 
 
 def _normalize_valid_rows(x: np.ndarray, name: str = "features") -> np.ndarray:
     """normalize_rows for rows that already passed as_feature_matrix."""
-    norms = np.linalg.norm(x, axis=1)
-    bad = np.flatnonzero(norms < ZERO_NORM_FLOOR)
-    if bad.size:
-        i = int(bad[0])
+    norms, zero = row_norms(x)
+    if zero.size:
+        i = int(zero[0])
         raise ZeroVectorError(f"{name} row {i} has zero norm", row_index=i)
     return x / norms[:, None]
 
@@ -97,8 +108,8 @@ def rff_build(kernel_kind: str, gamma: float, m: int, d_in: int, seed: int) -> R
     """
     if kernel_kind not in (GAUSSIAN, LAPLACIAN):
         raise InvalidSpecError(f"unknown kernel kind {kernel_kind!r}")
-    if not gamma > 0:
-        raise InvalidBandwidthError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise InvalidBandwidthError(f"gamma must be finite and > 0, got {gamma}")
     if m < 1 or d_in < 1:
         raise InvalidSpecError(f"need m >= 1 and d_in >= 1, got m={m}, d_in={d_in}")
     prng = make_prng(seed)
@@ -128,10 +139,6 @@ def rff_apply(rff: RffMap, z) -> np.ndarray:
 
 
 def _rff_apply_batch(rff: RffMap, x: np.ndarray) -> np.ndarray:
-    if x.shape[1] != rff.input_dim:
-        raise DimMismatchError(
-            f"map expects dimension {rff.input_dim}, got {x.shape[1]}"
-        )
     # sqrt(2/M) * cos(x @ omegas.T + biases), step by step in place on the
     # array the GEMM allocated; x may be the caller's own array.
     out = x @ rff.omegas.T
@@ -199,11 +206,7 @@ def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
     With the identity map the result may be x itself, so callers must not
     modify it in place.
     """
-    out = as_feature_matrix(x)
-    if out.shape[1] != spec.input_dim:
-        raise DimMismatchError(
-            f"map expects input dimension {spec.input_dim}, got {out.shape[1]}"
-        )
+    out = as_feature_matrix(x, dim=spec.input_dim)
     for stage in spec.stages:
         if stage == IDENTITY_STAGE:
             continue

@@ -105,10 +105,7 @@ def load_features(path) -> np.ndarray:
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: empty matrix ({rows}x{cols})")
     data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=13)
-    x = data.astype(np.float64).reshape(rows, cols)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"{path}: payload contains NaN or Inf")
-    return x
+    return as_feature_matrix(data.reshape(rows, cols), f"{path}: payload")
 
 
 # ------------------------------------------------------------------ models

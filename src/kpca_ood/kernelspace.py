@@ -25,14 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import choose_q
-from .errors import (
-    DegenerateSpectrumError,
-    DimMismatchError,
-    InvalidBandwidthError,
-    InvalidSpecError,
-)
-from .featmap import _normalize_valid_rows, normalize_rows
-from .linalg import _row_blocks, as_feature_matrix, sym_eig
+from .errors import DegenerateSpectrumError, InvalidBandwidthError, InvalidSpecError
+from .featmap import normalize_rows
+from .linalg import _row_blocks, sym_eig
 
 COSINE_KERNEL = "cosine"
 GAUSSIAN_KERNEL = "gaussian"
@@ -60,30 +55,28 @@ def _check_kernel(kernel_kind: str, gamma: float | None) -> float:
     if kernel_kind not in (COSINE_KERNEL, GAUSSIAN_KERNEL):
         raise InvalidSpecError(f"unknown kernel kind {kernel_kind!r}")
     if kernel_kind == GAUSSIAN_KERNEL:
-        if gamma is None or not gamma > 0:
-            raise InvalidBandwidthError(f"gaussian kernel needs gamma > 0, got {gamma}")
+        if gamma is None or not 0 < gamma < np.inf:
+            raise InvalidBandwidthError(
+                f"gaussian kernel needs a finite gamma > 0, got {gamma}"
+            )
         return float(gamma)
     return 0.0
 
 
-def _cross_kernel(
-    kernel_kind: str, gamma: float, a_unit: np.ndarray, b_unit: np.ndarray
-) -> np.ndarray:
-    """Kernel values between unit-normalized row sets, shape (len(a), len(b)).
+def _kernel(kernel_kind: str, gamma: float, dots: np.ndarray) -> np.ndarray:
+    """Kernel values from the inner products of unit-normalized rows.
 
     The Gaussian kernel exp(-gamma * max(2 - 2 a.b, 0)) is computed in place
-    on the array the GEMM allocated, with the same roundings as the
-    out-of-place expression.
+    on ``dots``, with the same roundings as the out-of-place expression.
     """
-    k = a_unit @ b_unit.T
     if kernel_kind == COSINE_KERNEL:
-        return k
-    k *= -2.0
-    k += 2.0
-    np.clip(k, 0.0, None, out=k)
-    k *= -gamma
-    np.exp(k, out=k)
-    return k
+        return dots
+    dots *= -2.0
+    dots += 2.0
+    np.clip(dots, 0.0, None, out=dots)
+    dots *= -gamma
+    np.exp(dots, out=dots)
+    return dots
 
 
 def gram(kernel_kind: str, gamma: float | None, x) -> np.ndarray:
@@ -91,13 +84,7 @@ def gram(kernel_kind: str, gamma: float | None, x) -> np.ndarray:
     gamma = _check_kernel(kernel_kind, gamma)
     xn = normalize_rows(x)
     dots = xn @ xn.T
-    dots = 0.5 * (dots + dots.T)
-    if kernel_kind == COSINE_KERNEL:
-        k = dots
-    else:
-        d2 = np.clip(2.0 - 2.0 * dots, 0.0, None)
-        np.fill_diagonal(d2, 0.0)
-        k = np.exp(-gamma * d2)
+    k = _kernel(kernel_kind, gamma, 0.5 * (dots + dots.T))
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -116,7 +103,7 @@ def fit_kernelspace(
     gamma = _check_kernel(kernel_kind, gamma)
     xn = normalize_rows(x, "train")
     n = xn.shape[0]
-    k = gram(kernel_kind, gamma if kernel_kind == GAUSSIAN_KERNEL else None, xn)
+    k = gram(kernel_kind, gamma, xn)
 
     eig = sym_eig(k)
     lam = np.clip(eig.eigenvalues, 0.0, None)
@@ -145,18 +132,15 @@ def fit_kernelspace(
 def score_kernelspace(model: KernelSpaceModel, x) -> np.ndarray:
     """Negated norm of the kernel vector projected on the trailing vectors.
 
-    Queries run through the same normalization as training; per-query time
-    and memory are linear in the stored training size.
+    Queries run through the same normalization as training, one row block
+    at a time; per-query time and memory are linear in the stored training
+    size.
     """
-    xq = as_feature_matrix(x)
-    if xq.shape[1] != model.train.shape[1]:
-        raise DimMismatchError(
-            f"model expects dimension {model.train.shape[1]}, got {xq.shape[1]}"
-        )
+    train = model.train
 
     def block(rows):
-        xn = _normalize_valid_rows(rows)
-        kq = _cross_kernel(model.kernel_kind, model.gamma, xn, model.train)
+        xn = normalize_rows(rows, dim=train.shape[1])
+        kq = _kernel(model.kernel_kind, model.gamma, xn @ train.T)
         return np.linalg.norm(kq @ model.residual_vectors, axis=1)
 
-    return -_row_blocks(block, xq, model.train.shape[0])
+    return -_row_blocks(block, x, train.shape[0])

@@ -1,5 +1,9 @@
 """Feature-matrix validation and dense symmetric eigendecomposition.
 
+``as_feature_matrix`` is the one ingestion gate: every rule a feature row
+must meet (a 2-D, non-empty matrix of the expected width, all entries
+finite) is checked there and nowhere else.
+
 The eigensolver is LAPACK's divide-and-conquer ``syevd``, reached through
 ``numpy.linalg.eigh``. Its input is first symmetrized exactly via
 (A + A^T)/2, after a check that the asymmetry is only rounding noise.
@@ -12,7 +16,9 @@ same bytes on every call, which saved models rely on.
 
 ``_row_blocks`` runs a per-row computation over fixed-size row blocks, so
 the batch paths (fit, the covariance and Gram scorers, knn) hold
-temporaries of block x width rather than N x width.
+temporaries of block x width rather than N x width. Each of them calls the
+gate on every block, not on its whole input, so a float32 input is upcast
+to float64 one block at a time.
 """
 
 from __future__ import annotations
@@ -37,17 +43,22 @@ _BLOCK_BYTES = 4 * 2**20
 _MIN_BLOCK_ROWS = 64
 
 
-def as_feature_matrix(data, name: str = "features") -> np.ndarray:
+def as_feature_matrix(
+    data, name: str = "features", dim: int | None = None
+) -> np.ndarray:
     """Validate and return a 2-D float64 row-major feature matrix.
 
-    Rejects empty shapes and non-finite entries; this is the single
-    ingestion gate, so downstream code can assume clean matrices.
+    Rejects empty shapes, a width other than ``dim`` (when given) and
+    non-finite entries; this is the single ingestion gate, so downstream
+    code can assume clean matrices.
     """
     x = np.ascontiguousarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise DimMismatchError(f"{name} must be 2-D, got shape {x.shape}")
     if x.shape[0] < 1 or x.shape[1] < 1:
         raise DimMismatchError(f"{name} must be non-empty, got shape {x.shape}")
+    if dim is not None and x.shape[1] != dim:
+        raise DimMismatchError(f"{name} must have {dim} columns, got {x.shape[1]}")
     # The ndarray method skips np.all's Python wrapper, which is a
     # measurable share of a single-row query.
     if not np.isfinite(x).all():

@@ -361,6 +361,90 @@ class TestRffDimZero:
         assert capsys.readouterr().out == ""
 
 
+class TestGateRejectsNonFiniteValues:
+    # An infinite gamma used to pass the gate: kgau then wrote a model its
+    # loader rejects, corp failed in the eigensolver.
+    @pytest.mark.parametrize("method", ["corp", "colp", "kgau"])
+    def test_fit_gamma_inf(self, synth_files, tmp_path, capsys, method):
+        ind, _ = synth_files
+        capsys.readouterr()
+        assert run("fit", "--train", ind, "--method", method, "--gamma", "inf",
+                   "--out", tmp_path / "m.oodm") == 1
+        assert capsys.readouterr().err == (
+            "usage error: --gamma must be finite, got inf\n")
+        assert not (tmp_path / "m.oodm").exists()
+
+    def test_sweep_gamma_inf(self, synth_files, capsys):
+        ind, ood = synth_files
+        capsys.readouterr()
+        assert run("sweep", "--param", "gamma", "--values", "0.5,inf",
+                   "--train", ind, "--ind", ind, "--ood", ood,
+                   "--method", "kgau") == 1
+        assert capsys.readouterr().out == ""
+
+    def test_bench_gamma_inf(self, synth_files, capsys):
+        ind, _ = synth_files
+        capsys.readouterr()
+        assert run("bench", "--train", ind, "--queries", 4, "--methods", "kgau",
+                   "--gamma", "inf", "--warmup", 1, "--reps", 1) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("value", ["inf", "16.7", "nan"])
+    def test_sweep_rff_dim_not_an_integer(self, tmp_path, capsys, value):
+        # Missing files: the value is rejected before any file is read.
+        missing = tmp_path / "none.oodf"
+        assert run("sweep", "--param", "rff-dim", "--values", f"16,{value}",
+                   "--train", missing, "--ind", missing, "--ood", missing,
+                   "--method", "corp", "--gamma", 1.0) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: --rff-dim must be an integer, got {value}\n")
+
+    def test_sweep_rff_dim_integral_float(self, synth_files, capsys):
+        ind, ood = synth_files
+        capsys.readouterr()
+        argv = ["--train", ind, "--ind", ind, "--ood", ood, "--method", "corp",
+                "--gamma", 1.0, "--param", "rff-dim"]
+        assert run("sweep", *argv, "--values", "16.0") == 0
+        as_float = capsys.readouterr().out.split("\n")[1].split()[:3]
+        assert run("sweep", *argv, "--values", "16") == 0
+        assert capsys.readouterr().out.split("\n")[1].split()[:3] == as_float
+
+
+class TestNonFinitePayload:
+    @pytest.fixture(params=[np.nan, np.inf])
+    def bad_file(self, tmp_path, request):
+        # save_features refuses such values, so the file is written by hand.
+        x = np.random.default_rng(4).normal(size=(30, 3)).astype("<f4")
+        x[29, 1] = request.param
+        path = tmp_path / "bad.oodf"
+        path.write_bytes(b"OODF\x01" + (30).to_bytes(4, "little")
+                         + (3).to_bytes(4, "little") + x.tobytes())
+        return path
+
+    def _message(self, path):
+        return f"numerical failure: {path}: payload contains NaN or Inf\n"
+
+    def test_fit(self, bad_file, tmp_path, capsys):
+        out = tmp_path / "m.oodm"
+        assert run("fit", "--train", bad_file, "--method", "pca", "--out", out) == 3
+        assert capsys.readouterr().err == self._message(bad_file)
+        assert not out.exists()
+
+    def test_score(self, bad_file, tmp_path, capsys):
+        model = tmp_path / "m.oodm"
+        train = tmp_path / "t.oodf"
+        fileio.save_features(train, np.random.default_rng(5).normal(size=(30, 3)))
+        assert run("fit", "--train", train, "--method", "cop", "--out", model) == 0
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        assert run("score", "--model", model, "--features", bad_file,
+                   "--out", out) == 3
+        assert capsys.readouterr().err == self._message(bad_file)
+        assert not out.exists()
+
+
 class TestScoreZeroRows:
     ZERO = 1
     MESSAGE = ("data error: row {} has zero norm "

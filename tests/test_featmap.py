@@ -18,6 +18,7 @@ from kpca_ood.featmap import (
     normalize_rows,
     rff_apply,
     rff_build,
+    row_norms,
 )
 
 
@@ -84,6 +85,9 @@ class TestRffBuild:
             rff_build("gaussian", 1.0, 0, 4, seed=0)
         with pytest.raises(InvalidBandwidthError):
             rff_build("gaussian", 0.0, 8, 4, seed=0)
+        for kind in ("gaussian", "laplacian"):
+            with pytest.raises(InvalidBandwidthError):
+                rff_build(kind, np.inf, 8, 4, seed=0)
         with pytest.raises(InvalidSpecError):
             rff_build("triangular", 1.0, 8, 4, seed=0)
 
@@ -195,6 +199,12 @@ class TestSpecAndBatch:
         with pytest.raises(ZeroVectorError) as e:
             map_apply(spec, [[1.0, 1.0], [0.0, 0.0]])
         assert e.value.row_index == 1
+
+    def test_row_norms_finds_every_zero_row(self):
+        x = np.array([[3.0, 4.0], [0.0, 0.0], [-0.0, 1e-300], [1e-20, 0.0]])
+        norms, zero = row_norms(x)
+        assert np.array_equal(norms, np.linalg.norm(x, axis=1))
+        assert zero.tolist() == [1, 2]
 
 
 class TestMedianHeuristic:

@@ -65,6 +65,17 @@ class TestFeatureContainer:
         with pytest.raises(NonFiniteError):
             save_features(tmp_path / "x.oodf", np.array([[1e300, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        # save_features refuses such values, so the file is written by hand.
+        x = np.ones((3, 2), dtype="<f4")
+        x[2, 1] = bad
+        p = tmp_path / "x.oodf"
+        p.write_bytes(struct.pack("<4sBII", b"OODF", 1, 3, 2) + x.tobytes())
+        with pytest.raises(NonFiniteError) as info:
+            load_features(p)
+        assert str(info.value) == f"{p}: payload contains NaN or Inf"
+
 
 class TestModelContainer:
     def _roundtrip(self, tmp_path, model):

@@ -39,6 +39,10 @@ class TestGram:
             gram("gaussian", None, [[1.0, 0.0]])
         with pytest.raises(InvalidBandwidthError):
             gram("gaussian", -1.0, [[1.0, 0.0]])
+        with pytest.raises(InvalidBandwidthError):
+            gram("gaussian", np.inf, [[1.0, 0.0]])
+        with pytest.raises(InvalidBandwidthError):
+            fit_kernelspace(THREE_POINTS, "gaussian", gamma=np.inf)
 
     def test_unknown_kernel(self):
         with pytest.raises(InvalidSpecError):

@@ -29,6 +29,11 @@ class TestAsFeatureMatrix:
         x = as_feature_matrix(np.ones((2, 2), dtype=np.float32))
         assert x.dtype == np.float64
 
+    def test_width(self):
+        assert as_feature_matrix(np.ones((2, 3)), dim=3).shape == (2, 3)
+        with pytest.raises(DimMismatchError, match="x must have 4 columns, got 3"):
+            as_feature_matrix(np.ones((2, 3)), "x", dim=4)
+
 
 class TestSymEigExamples:
     def test_diagonal_matrix(self):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from kpca_ood import linalg
-from kpca_ood.baselines import build_knn, knn_score
+from kpca_ood.baselines import build_knn, knn_score, reg_pca_error
 from kpca_ood.detector import fit, score_reconstruction, score_residual
-from kpca_ood.errors import ZeroVectorError
+from kpca_ood.errors import DimMismatchError, NonFiniteError, ZeroVectorError
 from kpca_ood.featmap import cosine_rff_spec, cosine_spec, identity_spec, rff_build
 from kpca_ood.kernelspace import fit_kernelspace, score_kernelspace
 
@@ -33,6 +33,27 @@ def _spec(kind, d):
     if kind == "cosine":
         return cosine_spec(d)
     return cosine_rff_spec(rff_build("gaussian", 0.5, 3 * d, d, seed=23))
+
+
+def _batch_calls(d, n_train=30):
+    """Every batch entry point, each as a function of its input rows alone."""
+    rng = np.random.default_rng(36)
+    model = fit(rng.normal(size=(n_train, d)), _spec("rff", d))
+    pca = fit(rng.normal(size=(n_train, d)), _spec("identity", d))
+    gram_model = fit_kernelspace(rng.normal(size=(n_train, d)), "gaussian",
+                                 gamma=0.8, evr_target=0.8)
+    knn = build_knn(rng.normal(size=(n_train, d)), k=2)
+    return {
+        "fit": lambda x: fit(x, _spec("rff", d)),
+        "score_reconstruction": lambda x: score_reconstruction(model, x),
+        "reg_pca_error": lambda x: reg_pca_error(pca, x),
+        "knn_score": lambda x: knn_score(knn, x),
+        "score_kernelspace": lambda x: score_kernelspace(gram_model, x),
+    }
+
+
+BATCH_CALLS = ["fit", "score_reconstruction", "reg_pca_error", "knn_score",
+               "score_kernelspace"]
 
 
 def _rel(a, b):
@@ -167,6 +188,30 @@ class TestBlockInvariance:
             assert f"row {ZERO_ROW} " in str(info.value)
 
 
+class TestBlockValidation:
+    """Each row block passes the ingestion gate: a bad value in a late block
+    raises what a check of the whole input raised."""
+
+    @pytest.mark.parametrize("name", BATCH_CALLS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_a_late_block(self, small_blocks, name, bad):
+        d = 5
+        rows = np.random.default_rng(37).normal(size=(N_ROWS, d))
+        rows[ZERO_ROW, 3] = bad
+        with pytest.raises(NonFiniteError, match="contains NaN or Inf"):
+            _batch_calls(d)[name](rows)
+
+    @pytest.mark.parametrize("name", BATCH_CALLS)
+    def test_wrong_width_over_several_blocks(self, small_blocks, name):
+        d = 5
+        call = _batch_calls(d)[name]
+        rows = np.random.default_rng(38).normal(size=(N_ROWS, d + 1))
+        with pytest.raises(DimMismatchError, match=f"must have {d} columns, got"):
+            call(rows)
+        with pytest.raises(DimMismatchError):
+            call(rows[:, 0])
+
+
 def _traced_peak(call) -> int:
     """Peak bytes numpy and Python allocated during call()."""
     gc.collect()
@@ -185,7 +230,9 @@ class TestBoundedMemory:
     counts, not timings. Each case doubles the row count past a few full
     blocks; an N x width temporary (width = M mapped features, or N_tr
     stored rows) would add 8 * width bytes per added row, far more than
-    the allowance of a few N x d_in arrays and N-length vectors.
+    the allowance of a few N x d_in arrays and N-length vectors. A float32
+    input may not even cost an N x d_in float64 copy: the gate upcasts it
+    one block at a time.
     """
 
     D_IN = 8
@@ -222,3 +269,17 @@ class TestBoundedMemory:
         model = fit_kernelspace(rng.normal(size=(300, self.D_IN)), "gaussian",
                                 gamma=0.5, evr_target=0.9)
         self._check(lambda x: lambda: score_kernelspace(model, x), 5000, 300)
+
+    @pytest.mark.parametrize("name", BATCH_CALLS)
+    def test_float32_input_is_upcast_per_block(self, name):
+        d_in, n_small = 64, 10_000
+        call = _batch_calls(d_in, n_train=500)[name]
+        rng = np.random.default_rng(45)
+        small = rng.normal(size=(n_small, d_in)).astype(np.float32)
+        large = rng.normal(size=(2 * n_small, d_in)).astype(np.float32)
+        growth = (_traced_peak(lambda: call(large))
+                  - _traced_peak(lambda: call(small)))
+        allowed = n_small * 8 * self.VECTORS + self.SLACK
+        # A float64 copy of the whole input would grow by n_small * 8 * d_in.
+        assert allowed < n_small * 8 * d_in / 2
+        assert growth <= allowed, (growth, allowed)
