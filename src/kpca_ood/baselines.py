@@ -27,9 +27,8 @@ from .errors import (
     KTooLargeError,
     LengthMismatchError,
     NonFiniteError,
-    ZeroVectorError,
 )
-from .featmap import IDENTITY_STAGE, normalize_rows, row_norms
+from .featmap import IDENTITY_STAGE, _nonzero_row_norms, normalize_rows
 from .linalg import _row_blocks, as_feature_matrix
 
 
@@ -101,11 +100,7 @@ def reg_pca_error(model: DetectorModel, x) -> np.ndarray:
 
     def block(rows):
         rows = as_feature_matrix(rows, dim=model.map_spec.input_dim)
-        norms, zero = row_norms(rows)
-        if zero.size:
-            i = int(zero[0])
-            raise ZeroVectorError(f"row {i} has zero norm", row_index=i)
-        return reconstruction_errors(model, rows) / norms
+        return reconstruction_errors(model, rows) / _nonzero_row_norms(rows)
 
     # The width of reconstruction_errors' own blocks, so it runs each whole.
     return _row_blocks(block, x, model.feature_dim)

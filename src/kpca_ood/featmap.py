@@ -1,12 +1,14 @@
-"""Explicit non-linear feature maps and their composition.
+"""Explicit non-linear feature maps of the covariance methods.
 
-Two building blocks: unit-norm (cosine) scaling, and random Fourier
-features whose inner products approximate a shift-invariant kernel. The
-Fourier frequencies are drawn per-coordinate N(0, sqrt(2*gamma)) for the
-squared-exponential kernel exp(-gamma*||a-b||_2^2) and Cauchy(scale=gamma)
-for the exponential-of-L1 kernel exp(-gamma*||a-b||_1); phases are uniform
-on [0, 2*pi). A map is frozen once built: applying it is pure, and the
-stored frequencies/phases (not the seed) are authoritative.
+A ``FeatureMapSpec`` is one of three layouts, one per covariance row of
+``fileio.METHODS``: identity (pca), unit-norm (cosine) scaling (cop), or
+cosine scaling then random Fourier features (corp, colp), whose inner
+products approximate a shift-invariant kernel. Their frequencies are drawn
+per-coordinate N(0, sqrt(2*gamma)) for the squared-exponential kernel
+exp(-gamma*||a-b||_2^2) and Cauchy(scale=gamma) for the exponential-of-L1
+kernel exp(-gamma*||a-b||_1); phases are uniform on [0, 2*pi). A map is
+frozen once built: applying it is pure, and the stored frequencies/phases
+(not the seed) are authoritative.
 
 ``map_apply`` passes its input through the ingestion gate
 (``linalg.as_feature_matrix``) with the map's input width; the stages after
@@ -33,6 +35,7 @@ from .rng import make_prng, sample_cauchy, sample_gaussian, sample_uniform
 
 # Norms below this are treated as degenerate zero features.
 ZERO_NORM_FLOOR = 1e-30
+MEDIAN_HEURISTIC_ROWS = 2000  # the most rows median_heuristic_gamma looks at
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -67,18 +70,19 @@ def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norms, np.flatnonzero(norms < ZERO_NORM_FLOOR)
 
 
-def normalize_rows(x, name: str = "features", dim: int | None = None) -> np.ndarray:
-    """Unit-normalize every row; reports the first degenerate row index."""
-    return _normalize_valid_rows(as_feature_matrix(x, name, dim), name)
-
-
-def _normalize_valid_rows(x: np.ndarray, name: str = "features") -> np.ndarray:
-    """normalize_rows for rows that already passed as_feature_matrix."""
+def _nonzero_row_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
+    """row_norms of rows that passed as_feature_matrix; a zero row raises."""
     norms, zero = row_norms(x)
     if zero.size:
         i = int(zero[0])
         raise ZeroVectorError(f"{name} row {i} has zero norm", row_index=i)
-    return x / norms[:, None]
+    return norms
+
+
+def normalize_rows(x, name: str = "features", dim: int | None = None) -> np.ndarray:
+    """Unit-normalize every row; reports the first degenerate row index."""
+    x = as_feature_matrix(x, name, dim)
+    return x / _nonzero_row_norms(x, name)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,24 +152,15 @@ def _rff_apply_batch(rff: RffMap, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stage_output_dim(stage, dim: int) -> int:
-    if stage == IDENTITY_STAGE or stage == COSINE_STAGE:
-        return dim
-    if isinstance(stage, RffMap):
-        if stage.input_dim != dim:
-            raise InvalidSpecError(
-                f"rff stage expects input dim {stage.input_dim}, chain provides {dim}"
-            )
-        return stage.n_features
-    raise InvalidSpecError(f"unknown stage {stage!r}")
+_LAYOUTS = ((IDENTITY_STAGE,), (COSINE_STAGE,), (COSINE_STAGE, RffMap))
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureMapSpec:
-    """Ordered composition of map stages applied row-wise.
+    """A covariance method's feature map, applied row-wise.
 
-    Stages are the strings "identity"/"cosine" or an RffMap; dimensions
-    must chain consistently from input_dim.
+    ``stages`` is ("identity",) for pca, ("cosine",) for cop, or
+    ("cosine", rff) for corp and colp, with rff an RffMap on input_dim.
     """
 
     stages: tuple
@@ -174,18 +169,24 @@ class FeatureMapSpec:
     def __post_init__(self):
         if self.input_dim < 1:
             raise InvalidSpecError(f"input_dim must be >= 1, got {self.input_dim}")
-        if not self.stages:
-            raise InvalidSpecError("need at least one stage")
-        dim = self.input_dim
-        for stage in self.stages:
-            dim = _stage_output_dim(stage, dim)
+        # Other than strings, stages are named by type: an RffMap's repr has arrays.
+        kinds = tuple(s if isinstance(s, str) else type(s) for s in self.stages)
+        if kinds not in _LAYOUTS:
+            names = ", ".join(k if isinstance(k, str) else k.__name__ for k in kinds)
+            raise InvalidSpecError(f"unsupported map stages ({names})")
+        if len(kinds) == 2:
+            rff = self.stages[1]
+            if rff.kernel_kind not in (GAUSSIAN, LAPLACIAN):
+                raise InvalidSpecError(f"unknown kernel kind {rff.kernel_kind!r}")
+            if rff.input_dim != self.input_dim:
+                raise InvalidSpecError(
+                    f"rff stage expects input dim {rff.input_dim}, "
+                    f"map input is {self.input_dim}"
+                )
 
     @property
     def output_dim(self) -> int:
-        dim = self.input_dim
-        for stage in self.stages:
-            dim = _stage_output_dim(stage, dim)
-        return dim
+        return self.stages[1].n_features if len(self.stages) == 2 else self.input_dim
 
 
 def identity_spec(dim: int) -> FeatureMapSpec:
@@ -201,34 +202,31 @@ def cosine_rff_spec(rff: RffMap) -> FeatureMapSpec:
 
 
 def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
-    """Apply every stage in order to all rows of x.
+    """Gate all rows of x, then apply the cosine and Fourier stages the spec has.
 
     With the identity map the result may be x itself, so callers must not
     modify it in place.
     """
     out = as_feature_matrix(x, dim=spec.input_dim)
-    for stage in spec.stages:
-        if stage == IDENTITY_STAGE:
-            continue
-        if stage == COSINE_STAGE:
-            out = _normalize_valid_rows(out)
-        else:
-            out = _rff_apply_batch(stage, out)
+    if spec.stages[0] == COSINE_STAGE:
+        out = out / _nonzero_row_norms(out)[:, None]
+    if len(spec.stages) == 2:
+        out = _rff_apply_batch(spec.stages[1], out)
     return out
 
 
-def median_heuristic_gamma(x, max_rows: int = 2000) -> float:
+def median_heuristic_gamma(x) -> float:
     """Bandwidth from the median pairwise distance: 1 / (2 * median^2).
 
-    Uses an evenly strided subsample of at most max_rows rows so the
-    estimate is deterministic and cheap on large training sets.
+    Uses an evenly strided subsample of at most MEDIAN_HEURISTIC_ROWS rows
+    so the estimate is deterministic and cheap on large training sets.
     """
     x = as_feature_matrix(x)
     n = x.shape[0]
-    if n > max_rows:
-        idx = np.linspace(0, n - 1, max_rows).astype(np.intp)
+    if n > MEDIAN_HEURISTIC_ROWS:
+        idx = np.linspace(0, n - 1, MEDIAN_HEURISTIC_ROWS).astype(np.intp)
         x = x[idx]
-        n = max_rows
+        n = MEDIAN_HEURISTIC_ROWS
     if n < 2:
         raise InvalidBandwidthError("need at least 2 rows for the median heuristic")
     sq = np.sum(x * x, axis=1)

@@ -118,11 +118,9 @@ def method_for_model(model) -> str:
     if isinstance(model, KernelSpaceModel):
         row = (GRAM, model.kernel_kind)
     elif isinstance(model, DetectorModel):
-        first, *rest = model.map_spec.stages
-        if not rest:
-            row = (first, None)
-        elif len(rest) == 1 and isinstance(rest[0], RffMap):
-            row = (first, rest[0].kernel_kind)
+        # A FeatureMapSpec holds a METHODS row's layout, so this always matches.
+        stage, *rff = model.map_spec.stages
+        row = (stage, rff[0].kernel_kind if rff else None)
     for tag, method_row in METHODS.items():
         if method_row == row:
             return tag

@@ -103,7 +103,8 @@ def fit_kernelspace(
     gamma = _check_kernel(kernel_kind, gamma)
     xn = normalize_rows(x, "train")
     n = xn.shape[0]
-    k = gram(kernel_kind, gamma, xn)
+    # Not from xn: normalizing it again would move some of its last bits.
+    k = gram(kernel_kind, gamma, x)
 
     eig = sym_eig(k)
     lam = np.clip(eig.eigenvalues, 0.0, None)

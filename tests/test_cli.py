@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kpca_ood
 from kpca_ood import fileio, linalg
 from kpca_ood.baselines import reg_pca_error
 from kpca_ood.cli import build_parser, main
@@ -554,3 +559,15 @@ class TestMethodTable:
                           if a.dest == "method")
             assert list(action.choices) == list(fileio.METHODS)
         assert set(self.BYTE) == set(fileio.METHODS)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(kpca_ood.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "kpca_ood", "--help"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: kpca-ood")

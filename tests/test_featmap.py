@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kpca_ood.detector import fit, score_reconstruction
 from kpca_ood.errors import (
     DimMismatchError,
     InvalidBandwidthError,
@@ -9,6 +10,7 @@ from kpca_ood.errors import (
 )
 from kpca_ood.featmap import (
     FeatureMapSpec,
+    RffMap,
     cosine_apply,
     cosine_rff_spec,
     cosine_spec,
@@ -20,6 +22,7 @@ from kpca_ood.featmap import (
     rff_build,
     row_norms,
 )
+from kpca_ood.fileio import load_model, method_for_model, save_model
 
 
 class TestCosine:
@@ -221,3 +224,48 @@ class TestMedianHeuristic:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5000, 4))
         assert median_heuristic_gamma(x) == median_heuristic_gamma(x)
+
+
+_D = 4
+_RFF = rff_build("gaussian", 0.9, 12, _D, seed=4)
+
+# Six stage chains no method uses, then the layouts of pca, cop and corp.
+LAYOUTS = {
+    "identity-rff": (("identity", _RFF), None),
+    "rff": ((_RFF,), None),
+    "cosine-cosine": (("cosine", "cosine"), None),
+    "cosine-identity": (("cosine", "identity"), None),
+    "identity-cosine": (("identity", "cosine"), None),
+    "cosine-rff-cosine": (("cosine", _RFF, "cosine"), None),
+    "pca": (("identity",), "pca"),
+    "cop": (("cosine",), "cop"),
+    "corp": (("cosine", _RFF), "corp"),
+}
+
+
+class TestMapLayouts:
+    @pytest.mark.parametrize("name", LAYOUTS)
+    def test_only_method_layouts_build(self, tmp_path, name):
+        stages, tag = LAYOUTS[name]
+        if tag is None:
+            with pytest.raises(InvalidSpecError) as info:
+                FeatureMapSpec(stages, _D)
+            # Stages are named by kind; an RffMap's arrays are not printed.
+            assert "array" not in str(info.value)
+            assert ("RffMap" in str(info.value)) == (_RFF in stages)
+            return
+        rng = np.random.default_rng(6)
+        model = fit(rng.normal(size=(40, _D)), FeatureMapSpec(stages, _D))
+        path = tmp_path / "m.oodm"
+        save_model(path, model)
+        back = load_model(path)
+        assert method_for_model(back) == tag
+        queries = rng.normal(size=(9, _D))
+        assert np.array_equal(
+            score_reconstruction(back, queries), score_reconstruction(model, queries)
+        )
+
+    def test_rff_stage_of_unknown_kernel_rejected(self):
+        rff = RffMap("cauchy", 1.0, _RFF.omegas, _RFF.biases, seed=4)
+        with pytest.raises(InvalidSpecError, match="unknown kernel kind"):
+            cosine_rff_spec(rff)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kpca_ood import kernelspace
 from kpca_ood.detector import fit as fit_detector
 from kpca_ood.errors import (
     DimMismatchError,
@@ -8,7 +9,7 @@ from kpca_ood.errors import (
     InvalidSpecError,
     ZeroVectorError,
 )
-from kpca_ood.featmap import cosine_spec
+from kpca_ood.featmap import cosine_spec, normalize_rows
 from kpca_ood.kernelspace import (
     fit_kernelspace,
     gram,
@@ -191,3 +192,21 @@ class TestSpectralCorrespondence:
         # and the Gram side has no extra non-negligible eigenvalues
         if nz_cov.size < lam_gram.size:
             assert lam_gram[nz_cov.size] <= 1e-7 * top
+
+
+class TestFitGram:
+    @pytest.mark.parametrize("kernel, gamma", [("cosine", None), ("gaussian", 0.7)])
+    def test_eigensolver_gets_the_gram_of_the_stored_rows(self, monkeypatch,
+                                                        kernel, gamma):
+        x = np.random.default_rng(7).normal(size=(200, 16))
+        seen = []
+
+        def spy(matrix):
+            seen.append(matrix.copy())
+            return sym_eig(matrix)
+
+        monkeypatch.setattr(kernelspace, "sym_eig", spy)
+        model = fit_kernelspace(x, kernel, gamma=gamma, evr_target=0.9)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], gram(kernel, gamma, x))
+        assert np.array_equal(model.train, normalize_rows(x))

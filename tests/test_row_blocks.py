@@ -188,6 +188,25 @@ class TestBlockInvariance:
             assert f"row {ZERO_ROW} " in str(info.value)
 
 
+    @pytest.mark.parametrize("name", BATCH_CALLS)
+    def test_zero_row_error_does_not_depend_on_blocks(self, monkeypatch, name):
+        d = 5
+        rows = np.random.default_rng(39).normal(size=(N_ROWS, d))
+        rows[ZERO_ROW] = 0.0
+        call = _batch_calls(d)[name]
+
+        def raised():
+            with pytest.raises(ZeroVectorError) as info:
+                call(rows)
+            return str(info.value), info.value.row_index
+
+        whole = raised()
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", BLOCK)
+        assert raised() == whole
+        assert whole[1] == ZERO_ROW
+
+
 class TestBlockValidation:
     """Each row block passes the ingestion gate: a bad value in a late block
     raises what a check of the whole input raised."""
