@@ -44,6 +44,7 @@ from .kernelspace import (
     score_kernelspace,
 )
 from .metrics import bench_scorers, evaluate
+from .rng import make_prng
 from .synth import KINDS, SynthSpec, generate
 
 EXIT_OK = 0
@@ -82,18 +83,66 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _check_fit_args(methods, evr, gamma, rff_dim) -> None:
-    """The argument gate of fit, sweep and bench, run before any file is read."""
-    _require(0.0 < evr <= 1.0, f"--evr must be in (0, 1], got {evr}")
-    if any(METHODS[m][0] == GRAM for m in methods):
-        _require(evr < 1.0, "--evr must be < 1 for kernel-matrix methods")
-    if rff_dim is not None:
-        # A sweep value arrives as a float; :g prints an integral one as before.
-        _require(float(rff_dim).is_integer(),
-                 f"--rff-dim must be an integer, got {rff_dim:g}")
-        _require(rff_dim >= 1, f"--rff-dim must be >= 1, got {rff_dim:g}")
-    _require(gamma is None or gamma > 0, f"--gamma must be > 0, got {gamma}")
-    _require(gamma is None or gamma < math.inf, f"--gamma must be finite, got {gamma}")
+def _bench_methods(args) -> list[str]:
+    return [m for m in args.methods.split(",") if m]
+
+
+def _grid(args) -> list:
+    """A sweep's (value, flags) pairs: a fit with the swept flag set to value."""
+    stage, kernel = METHODS[args.method]
+    applies = {
+        "evr": True,
+        "gamma": kernel not in (None, COSINE_KERNEL),
+        "rff-dim": stage != GRAM and kernel is not None,
+    }
+    _require(applies[args.param], f"--param {args.param} is not a {args.method} input")
+    try:
+        values = [float(v) for v in args.values.split(",") if v]
+    except ValueError:
+        raise UsageError(f"--values must be numeric, got {args.values!r}") from None
+    _require(bool(values), "--values is empty")
+    flag = args.param.replace("-", "_")
+    return [(v, argparse.Namespace(**{**vars(args), "command": "fit", flag: v}))
+            for v in values]
+
+
+def _check_args(args) -> None:
+    """The argument gate: every flag rule, checked before any file is read.
+
+    ``main`` runs it before dispatching; a sweep runs it again on each grid
+    point, a fit with the swept value in place of its flag.
+    """
+    command = args.command
+    if command == "synth":
+        _require(args.n >= 2, f"--n must be >= 2, got {args.n}")
+        _require(args.dim >= 2, f"--dim must be >= 2, got {args.dim}")
+        _parse_params(args.param)
+    elif command == "sweep":
+        for _, point in _grid(args):
+            _check_args(point)
+    elif command == "bench":
+        for m in _bench_methods(args):
+            _require(m in METHODS or m == "knn", f"unknown bench method {m!r}")
+        _require(args.queries >= 0, "--queries must be >= 0")
+        _require(args.reps >= 1, f"--reps must be >= 1, got {args.reps}")
+        _require(args.knn_k >= 1, f"--knn-k must be >= 1, got {args.knn_k}")
+    if command in ("fit", "bench"):
+        evr, gamma, rff_dim = args.evr, args.gamma, args.rff_dim
+        methods = [args.method] if command == "fit" else _bench_methods(args)
+        _require(0.0 < evr <= 1.0, f"--evr must be in (0, 1], got {evr}")
+        if any(m != "knn" and METHODS[m][0] == GRAM for m in methods):
+            _require(evr < 1.0, "--evr must be < 1 for kernel-matrix methods")
+        if rff_dim is not None:
+            # A sweep value arrives as a float; :g prints an integral one as before.
+            _require(float(rff_dim).is_integer(),
+                     f"--rff-dim must be an integer, got {rff_dim:g}")
+            _require(rff_dim >= 1, f"--rff-dim must be >= 1, got {rff_dim:g}")
+        _require(gamma is None or gamma > 0, f"--gamma must be > 0, got {gamma}")
+        _require(gamma is None or gamma < math.inf, f"--gamma must be finite, got {gamma}")
+    if command in ("eval", "sweep"):
+        _require(0.0 < args.tpr <= 1.0, f"--tpr must be in (0, 1], got {args.tpr}")
+    if "seed" in args:
+        _require(0 <= args.seed < 2**64, f"--seed must be in [0, 2**64), got {args.seed}")
 
 
 def _rff_dim(rff_dim, dim: int) -> int:
@@ -101,23 +150,26 @@ def _rff_dim(rff_dim, dim: int) -> int:
     return 4 * dim if rff_dim is None else int(rff_dim)
 
 
-def _fit_model(method, train, evr, gamma, rff_dim, seed, store_residual=False):
-    """Fit ``method`` as its METHODS row says; gamma and rff_dim may be None.
+def _fit_model(method, train, flags, store_residual=False):
+    """Fit ``method`` as its METHODS row says, with the gated --evr, --gamma,
+    --rff-dim and --seed of ``flags``; gamma and rff_dim may be None.
 
     An absent gamma is the median heuristic on the cosine-normalized
     training rows (the input the kernel actually sees).
     """
     stage, kernel = METHODS[method]
+    gamma = flags.gamma
     if kernel not in (None, COSINE_KERNEL) and gamma is None:
         gamma = median_heuristic_gamma(normalize_rows(train))
         print(f"gamma defaulted by median heuristic: {gamma:.6g}")
     if stage == GRAM:
-        return fit_kernelspace(train, kernel, gamma=gamma, evr_target=evr)
+        return fit_kernelspace(train, kernel, gamma=gamma, evr_target=flags.evr)
     dim = train.shape[1]
     stages = (stage,)
     if kernel is not None:
-        stages += (rff_build(kernel, gamma, _rff_dim(rff_dim, dim), dim, seed),)
-    return fit_detector(train, FeatureMapSpec(stages, dim), evr, store_residual)
+        m = _rff_dim(flags.rff_dim, dim)
+        stages += (rff_build(kernel, gamma, m, dim, flags.seed),)
+    return fit_detector(train, FeatureMapSpec(stages, dim), flags.evr, store_residual)
 
 
 def _model_scores(model, x) -> np.ndarray:
@@ -130,8 +182,6 @@ def _model_scores(model, x) -> np.ndarray:
 
 
 def cmd_synth(args) -> int:
-    _require(args.n >= 2, f"--n must be >= 2, got {args.n}")
-    _require(args.dim >= 2, f"--dim must be >= 2, got {args.dim}")
     spec = SynthSpec(
         kind=args.kind,
         n=args.n,
@@ -150,13 +200,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _check_fit_args([args.method], args.evr, args.gamma, args.rff_dim)
     train = fileio.load_features(args.train)
     t0 = time.perf_counter()
-    model = _fit_model(
-        args.method, train, args.evr, args.gamma, args.rff_dim, args.seed,
-        store_residual=args.store_residual,
-    )
+    model = _fit_model(args.method, train, args, args.store_residual)
     elapsed = time.perf_counter() - t0
     fileio.save_model(args.out, model)
     if isinstance(model, KernelSpaceModel):
@@ -209,38 +255,25 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require(0.0 < args.tpr <= 1.0, f"--tpr must be in (0, 1], got {args.tpr}")
     _, ind = fileio.load_scores(args.ind)
-    reports = []
-    for path in args.ood:
-        _, ood = fileio.load_scores(path)
-        reports.append((path, evaluate(ind, ood, args.tpr)))
-
-    if args.json_lines:
-        for path, rep in reports:
+    reports = [(path, evaluate(ind, fileio.load_scores(path)[1], args.tpr))
+               for path in args.ood]
+    average = {name: float(np.mean([getattr(r, name) for _, r in reports]))
+               for name in ("fpr95", "auroc")}
+    many = len(reports) > 1
+    for path, rep in reports:
+        if args.json_lines:
             for record in rep.to_records():
-                record["dataset"] = path
-                print(json.dumps(record))
-        if len(reports) > 1:
-            print(json.dumps({
-                "dataset": "AVERAGE",
-                "metric": "fpr95",
-                "value": float(np.mean([r.fpr95 for _, r in reports])),
-            }))
-            print(json.dumps({
-                "dataset": "AVERAGE",
-                "metric": "auroc",
-                "value": float(np.mean([r.auroc for _, r in reports])),
-            }))
-    else:
-        for path, rep in reports:
-            if len(reports) > 1:
-                print(f"--- {path}")
-            print(rep.to_text())
-        if len(reports) > 1:
-            print("--- AVERAGE (equal weight per dataset)")
-            print(f"fpr95  {np.mean([r.fpr95 for _, r in reports]):.6f}")
-            print(f"auroc  {np.mean([r.auroc for _, r in reports]):.6f}")
+                print(json.dumps({**record, "dataset": path}))
+        else:
+            print(f"--- {path}\n{rep.to_text()}" if many else rep.to_text())
+    if many and args.json_lines:
+        for name, value in average.items():
+            print(json.dumps({"dataset": "AVERAGE", "metric": name, "value": value}))
+    elif many:
+        print("--- AVERAGE (equal weight per dataset)")
+        for name, value in average.items():
+            print(f"{name}  {value:.6f}")
     return EXIT_OK
 
 
@@ -267,34 +300,15 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    stage, kernel = METHODS[args.method]
-    applies = {
-        "evr": True,
-        "gamma": kernel not in (None, COSINE_KERNEL),
-        "rff-dim": stage != GRAM and kernel is not None,
-    }
-    _require(applies[args.param], f"--param {args.param} is not a {args.method} input")
-    try:
-        values = [float(v) for v in args.values.split(",") if v]
-    except ValueError:
-        raise UsageError(f"--values must be numeric, got {args.values!r}") from None
-    _require(bool(values), "--values is empty")
-    points = []
-    for value in values:
-        point = dict(evr=args.evr, gamma=args.gamma, rff_dim=args.rff_dim)
-        point[args.param.replace("-", "_")] = value
-        _check_fit_args([args.method], **point)
-        points.append((value, point))
-
     train = fileio.load_features(args.train)
     ind = fileio.load_features(args.ind)
     ood = fileio.load_features(args.ood)
 
     rows, failed = [], 0
-    for value, point in points:
+    for value, point in _grid(args):
         try:
             t0 = time.perf_counter()
-            model = _fit_model(args.method, train, seed=args.seed, **point)
+            model = _fit_model(args.method, train, point)
             rep = evaluate(
                 _model_scores(model, ind), _model_scores(model, ood), args.tpr
             )
@@ -311,22 +325,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    methods = [m for m in args.methods.split(",") if m]
-    for m in methods:
-        _require(m in METHODS or m == "knn", f"unknown bench method {m!r}")
-    _require(args.queries >= 0, "--queries must be >= 0")
-    _check_fit_args([m for m in methods if m in METHODS], args.evr, args.gamma,
-                    args.rff_dim)
     train = fileio.load_features(args.train)
-
-    prng_rows = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-    pick = prng_rows.integers(0, train.shape[0], size=args.queries)
-    queries = train[pick]
+    queries = train[make_prng(args.seed).integers(0, train.shape[0], size=args.queries)]
 
     scorers, store_bytes = {}, {}
-    rff_dim = _rff_dim(args.rff_dim, train.shape[1])
     with tempfile.TemporaryDirectory() as tmp:
-        for m in methods:
+        for m in _bench_methods(args):
             if m == "knn":
                 scorer = build_knn(train, k=args.knn_k)
                 store = os.path.join(tmp, "knn.oodf")
@@ -336,25 +340,19 @@ def cmd_bench(args) -> int:
                     lambda row, s=scorer: float(knn_score(s, row[None, :])[0])
                 )
             else:
-                model = _fit_model(
-                    m, train, args.evr, args.gamma, rff_dim, args.seed
-                )
+                model = _fit_model(m, train, args)
                 store = os.path.join(tmp, f"{m}.oodm")
                 fileio.save_model(store, model)
                 store_bytes[m] = os.path.getsize(store)
                 scorers[m] = (
                     lambda row, mm=model: float(_model_scores(mm, row[None, :])[0])
                 )
-        report = bench_scorers(
-            scorers,
-            queries,
-            warmup=args.warmup,
-            reps=args.reps,
-            train_size=train.shape[0],
-            rff_dim=rff_dim,
-        )
+        report = bench_scorers(scorers, queries, warmup=args.warmup, reps=args.reps)
     report.store_bytes = store_bytes
     print(report.to_text())
+    if report.per_query_micros:
+        rff_dim = _rff_dim(args.rff_dim, train.shape[1])
+        print(f"train_size={train.shape[0]}  rff_dim={rff_dim}")
     return EXIT_OK
 
 
@@ -364,23 +362,27 @@ def cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="kpca-ood", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by several commands, declared once.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--train", required=True)
+    fitting.add_argument("--evr", type=float, default=0.90)
+    fitting.add_argument("--gamma", type=float)
+    fitting.add_argument("--rff-dim", type=int)
 
-    p = sub.add_parser("synth", help="generate synthetic InD/OoD feature files")
+    p = sub.add_parser("synth", parents=[seeded],
+                       help="generate synthetic InD/OoD feature files")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="prefix for .ind.oodf/.ood.oodf")
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", help="fit a detector on a training feature file")
-    p.add_argument("--train", required=True)
+    p = sub.add_parser("fit", parents=[fitting, seeded],
+                       help="fit a detector on a training feature file")
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--evr", type=float, default=0.90)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--rff-dim", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--store-residual", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
@@ -410,29 +412,21 @@ def build_parser() -> _Parser:
                    help="extra error CSVs included in the min-max range")
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("sweep", help="fit/score/eval over a parameter grid")
+    p = sub.add_parser("sweep", parents=[fitting, seeded],
+                       help="fit/score/eval over a parameter grid")
     p.add_argument("--param", required=True, choices=("evr", "gamma", "rff-dim"))
     p.add_argument("--values", required=True, help="comma-separated list")
-    p.add_argument("--train", required=True)
     p.add_argument("--ind", required=True)
     p.add_argument("--ood", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--evr", type=float, default=0.90)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--rff-dim", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tpr", type=float, default=0.95)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="per-query latency and store sizes")
-    p.add_argument("--train", required=True)
+    p = sub.add_parser("bench", parents=[fitting, seeded],
+                       help="per-query latency and store sizes")
     p.add_argument("--queries", type=int, default=200)
     p.add_argument("--methods", required=True, help="comma list, e.g. corp,knn")
-    p.add_argument("--evr", type=float, default=0.90)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--rff-dim", type=int)
     p.add_argument("--knn-k", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--reps", type=int, default=3)
     p.set_defaults(func=cmd_bench)
@@ -444,6 +438,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from .errors import (
     InvalidSpecError,
     ZeroVectorError,
 )
-from .linalg import as_feature_matrix
+from .linalg import _BLOCK_BYTES, as_feature_matrix
 from .rng import make_prng, sample_cauchy, sample_gaussian, sample_uniform
 
 # Norms below this are treated as degenerate zero features.
@@ -219,7 +219,9 @@ def median_heuristic_gamma(x) -> float:
     """Bandwidth from the median pairwise distance: 1 / (2 * median^2).
 
     Uses an evenly strided subsample of at most MEDIAN_HEURISTIC_ROWS rows
-    so the estimate is deterministic and cheap on large training sets.
+    so the estimate is deterministic and cheap on large training sets. The
+    squared distances of pairs i < j are built over row blocks of the
+    subsample, so no N x N temporary is formed.
     """
     x = as_feature_matrix(x)
     n = x.shape[0]
@@ -230,8 +232,15 @@ def median_heuristic_gamma(x) -> float:
     if n < 2:
         raise InvalidBandwidthError("need at least 2 rows for the median heuristic")
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    dist = d2[np.triu(np.ones((n, n), dtype=bool), k=1)]
+    dist = np.empty(n * (n - 1) // 2)
+    rows, done = max(1, _BLOCK_BYTES // (8 * n)), 0
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n - 1)
+        # Rows a..b-1 against columns a+1..n-1; pair (i, j) sits at (i-a, j-a-1).
+        d2 = sq[a:b, None] + sq[None, a + 1 :] - 2.0 * (x[a:b] @ x[a + 1 :].T)
+        upper = d2[np.triu(np.ones(d2.shape, dtype=bool))]
+        dist[done : done + upper.size] = upper
+        done += upper.size
     np.clip(dist, 0.0, None, out=dist)
     np.sqrt(dist, out=dist)
     med = float(np.median(dist, overwrite_input=True))

@@ -10,7 +10,7 @@ tag's position in ``METHODS``), then a method-family payload with all
 reals as little-endian float64:
 
   covariance family (pca, cop, corp, colp):
-      evr_target f64, input_dim u32, feature_dim u32, q u32, flags u8
+      evr_target f64 in (0, 1], input_dim u32, feature_dim u32, q u32, flags u8
       (bit0 = has frequencies block, bit1 = has residual basis),
       [kernel u8 (the method's: 0 gaussian, 1 laplacian), gamma f64 > 0,
        M u32, d_in u32 (= input_dim), seed u64,
@@ -18,14 +18,14 @@ reals as little-endian float64:
       mean D, eigenvalues D, basis D*q column-major,
       [residual basis D*(D-q) column-major]
 
-  kernel family (kcos, kgau; kgau's gamma > 0):
-      evr_target f64, gamma f64, n_train u32, input_dim u32, l u32,
+  kernel family (kcos, kgau; gamma finite, and > 0 for kgau):
+      evr_target f64 in (0, 1), gamma f64, n_train u32, input_dim u32, l u32,
       train N*m row-major (normalized rows), vectors N*l column-major
 
 Scores CSV: header "index,score", one row per scored input, values
 rendered with 17 significant digits so parsing returns the exact written
-float64. All load paths validate magic/version/lengths and reject
-non-finite payloads; save->load->save is byte-identical.
+float64. All load paths validate magic/version/lengths and header ranges
+and reject non-finite payloads; save->load->save is byte-identical.
 """
 
 from __future__ import annotations
@@ -90,21 +90,14 @@ def save_features(path, x) -> None:
 
 def load_features(path) -> np.ndarray:
     """Read a feature/logits container back as float64."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 13:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, rows, cols = struct.unpack_from("<4sBII", blob, 0)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    r = _Reader(path, FEATURE_MAGIC)
+    rows, cols = r.unpack("<II")
     want = 13 + rows * cols * 4
-    if len(blob) != want:
-        raise FormatError(f"{path}: expected {want} bytes, found {len(blob)}")
+    if len(r.blob) != want:
+        raise FormatError(f"{path}: expected {want} bytes, found {len(r.blob)}")
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: empty matrix ({rows}x{cols})")
-    data = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=13)
+    data = np.frombuffer(r.blob, dtype="<f4", count=rows * cols, offset=13)
     return as_feature_matrix(data.reshape(rows, cols), f"{path}: payload")
 
 
@@ -177,10 +170,18 @@ def save_model(path, model) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
+    """A container file's bytes, read past its checked magic and version."""
+
+    def __init__(self, path, magic: bytes):
+        with open(path, "rb") as fh:
+            self.blob = fh.read()
         self.path = path
         self.pos = 0
+        found, version = self.unpack("<4sB")
+        if found != magic:
+            raise FormatError(f"{path}: bad magic {found!r}")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
 
     def unpack(self, fmt: str):
         size = struct.calcsize(fmt)
@@ -210,14 +211,8 @@ class _Reader:
 
 def load_model(path):
     """Load a model container; returns DetectorModel or KernelSpaceModel."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob, path)
-    magic, version, method_byte = r.unpack("<4sBB")
-    if magic != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+    r = _Reader(path, MODEL_MAGIC)
+    (method_byte,) = r.unpack("<B")
     if method_byte >= len(METHODS):
         raise FormatError(f"{path}: unknown method byte {method_byte}")
     method = list(METHODS)[method_byte]
@@ -225,9 +220,11 @@ def load_model(path):
 
     if stage != GRAM:
         evr, input_dim, d, q, flags = r.unpack("<dIIIB")
+        if not 0.0 < evr <= 1.0:
+            raise FormatError(f"{path}: evr_target {evr} outside (0, 1]")
         if not 1 <= q <= d:
             raise FormatError(f"{path}: q {q} outside [1, feature_dim {d}]")
-        if bool(flags & 1) != (kernel is not None):
+        if flags > 3 or bool(flags & 1) != (kernel is not None):
             raise FormatError(f"{path}: flags disagree with method {method}")
         stages = (stage,)
         if kernel is not None:
@@ -260,10 +257,14 @@ def load_model(path):
         )
 
     evr, gamma, n, m, l = r.unpack("<ddIII")
+    if not 0.0 < evr < 1.0:
+        raise FormatError(f"{path}: evr_target {evr} outside (0, 1)")
     if not 1 <= l <= n:
         raise FormatError(f"{path}: l {l} outside [1, n_train {n}]")
     if kernel == GAUSSIAN_KERNEL and not 0 < gamma < math.inf:
         raise FormatError(f"{path}: gamma {gamma} is not finite and > 0")
+    if not math.isfinite(gamma):
+        raise FormatError(f"{path}: gamma {gamma} is not finite")
     train = r.f64(n * m, (n, m), "C")
     vectors = r.f64(n * l, (n, l), "F")
     r.done()

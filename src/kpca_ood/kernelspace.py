@@ -25,14 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import choose_q
-from .errors import DegenerateSpectrumError, InvalidBandwidthError, InvalidSpecError
+from .errors import InvalidBandwidthError, InvalidSpecError
 from .featmap import normalize_rows
 from .linalg import _row_blocks, sym_eig
 
 COSINE_KERNEL = "cosine"
 GAUSSIAN_KERNEL = "gaussian"
-
-DEGENERATE_TRACE = 1e-20
 
 
 @dataclass(eq=False)
@@ -107,10 +105,8 @@ def fit_kernelspace(
     k = gram(kernel_kind, gamma, x)
 
     eig = sym_eig(k)
-    lam = np.clip(eig.eigenvalues, 0.0, None)
-    if float(lam.sum()) < DEGENERATE_TRACE:
-        raise DegenerateSpectrumError("kernel matrix has numerically zero trace")
-    q = choose_q(lam, evr_target)
+    # The unit diagonal makes the spectrum sum to N, so it is never all zero.
+    q = choose_q(np.clip(eig.eigenvalues, 0.0, None), evr_target)
     l = n - q
     if l < 1:
         warnings.warn(

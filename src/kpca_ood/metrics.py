@@ -135,11 +135,9 @@ class LatencyStats:
 
 @dataclass(eq=False)
 class BenchReport:
-    """Per-scorer per-query wall-clock latency plus context."""
+    """Per-scorer per-query wall-clock latency and store sizes."""
 
     per_query_micros: dict[str, LatencyStats] = field(default_factory=dict)
-    train_size: int | None = None
-    rff_dim: int | None = None
     store_bytes: dict[str, int] = field(default_factory=dict)
 
     def to_text(self) -> str:
@@ -154,13 +152,6 @@ class BenchReport:
                 f"{name:<12}{stats.mean_us:>12.2f}{stats.p99_us:>12.2f}"
                 f"{size if size is not None else '-':>14}"
             )
-        ctx = []
-        if self.train_size is not None:
-            ctx.append(f"train_size={self.train_size}")
-        if self.rff_dim is not None:
-            ctx.append(f"rff_dim={self.rff_dim}")
-        if ctx:
-            lines.append("  ".join(ctx))
         return "\n".join(lines)
 
 
@@ -197,14 +188,7 @@ def _single_blas_thread():
         set_(before)
 
 
-def bench_scorers(
-    scorers: dict,
-    queries,
-    warmup: int = 5,
-    reps: int = 3,
-    train_size: int | None = None,
-    rff_dim: int | None = None,
-) -> BenchReport:
+def bench_scorers(scorers: dict, queries, warmup: int = 5, reps: int = 3) -> BenchReport:
     """Time each scorer callable per query row, single-threaded.
 
     ``scorers`` maps a name to a callable taking one 1-D query vector.
@@ -219,7 +203,7 @@ def bench_scorers(
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2:
         raise ValueError(f"queries must be 2-D, got shape {q.shape}")
-    report = BenchReport(train_size=train_size, rff_dim=rff_dim)
+    report = BenchReport()
     if q.shape[0] == 0:
         return report
     with _single_blas_thread():

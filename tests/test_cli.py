@@ -571,3 +571,96 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: kpca-ood")
+
+
+class TestArgumentGate:
+    # One out-of-range value per numeric flag of each command. The input
+    # files do not exist, so only the gate can answer: exit 1 with the
+    # flag's usage error, before anything is read or written.
+    BASE = {
+        "synth": ["--kind", "norm-shift", "--n", "50", "--dim", "4", "--out", "{tmp}/d"],
+        "fit": ["--train", "{missing}", "--method", "corp", "--out", "{tmp}/m.oodm"],
+        "eval": ["--ind", "{missing}", "--ood", "{missing}"],
+        "sweep": ["--train", "{missing}", "--ind", "{missing}", "--ood", "{missing}",
+                  "--method", "corp"],
+        "bench": ["--train", "{missing}", "--methods", "corp,knn"],
+    }
+    SEED = [("--seed", "-1"), ("--seed", str(2**64))]
+    FIT = [("--evr", "1.5"), ("--gamma", "-1"), ("--rff-dim", "0")] + SEED
+    BAD = {
+        "synth": [("--n", "1"), ("--dim", "1")] + SEED,
+        "fit": FIT,
+        "eval": [("--tpr", "1.5")],
+        "sweep": FIT + [("--tpr", "1.5")],
+        "bench": FIT + [("--queries", "-1"), ("--knn-k", "0"), ("--reps", "0")],
+    }
+    NO_RULE = {("bench", "--warmup")}  # a negative count runs no warmup pass
+    CASES = [(c, f, v) for c, rows in BAD.items() for f, v in rows]
+
+    def _argv(self, tmp_path, command, flag, value):
+        argv = [a.format(tmp=tmp_path, missing=tmp_path / "none.oodf")
+                for a in self.BASE[command]]
+        if command == "sweep":
+            # The swept flag's own value is replaced by the grid's.
+            argv += ["--param", "gamma", "--values", "1.0"] if flag == "--evr" else [
+                "--param", "evr", "--values", "0.5"]
+        return [command, *argv, flag, value]
+
+    @pytest.mark.parametrize("command,flag,value", CASES,
+                             ids=[f"{c}{f}={v}" for c, f, v in CASES])
+    def test_rejected_before_any_file(self, tmp_path, capsys, command, flag, value):
+        assert run(*self._argv(tmp_path, command, flag, value)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: {flag} ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table_covers_every_numeric_flag(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        declared = {
+            (command, action.option_strings[0])
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type in (int, float)
+        }
+        assert {(c, f) for c, f, _ in self.CASES} | self.NO_RULE == declared
+
+    def test_largest_seed_accepted(self, tmp_path):
+        assert run("synth", "--kind", "norm-shift", "--n", 20, "--dim", 3,
+                   "--seed", 2**64 - 1, "--out", tmp_path / "d") == 0
+
+    def test_seed_checked_for_a_method_that_draws_nothing(self, synth_files, tmp_path):
+        ind, _ = synth_files
+        assert run("fit", "--train", ind, "--method", "pca", "--seed", -1,
+                   "--out", tmp_path / "m.oodm") == 1
+        assert not (tmp_path / "m.oodm").exists()
+
+
+class TestCommandOutput:
+    def test_bench_prints_train_size_and_rff_dim(self, synth_files, capsys):
+        ind, _ = synth_files
+        capsys.readouterr()
+        assert run("bench", "--train", ind, "--queries", 4, "--methods", "corp",
+                   "--warmup", 0, "--reps", 1) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "train_size=200  rff_dim=32"
+
+    def test_bench_without_queries_prints_no_context(self, synth_files, capsys):
+        ind, _ = synth_files
+        capsys.readouterr()
+        assert run("bench", "--train", ind, "--queries", 0, "--methods", "cop") == 0
+        assert capsys.readouterr().out == "(no queries benchmarked)\n"
+
+    def test_eval_average_in_both_formats(self, tmp_path, capsys):
+        ind, o1, o2 = (tmp_path / f"{n}.csv" for n in ("i", "o1", "o2"))
+        fileio.save_scores(ind, np.arange(4), np.array([4.0, 5.0, 6.0, 7.0]))
+        fileio.save_scores(o1, np.arange(2), np.array([0.0, 6.5]))
+        fileio.save_scores(o2, np.arange(2), np.array([1.0, 2.0]))
+        assert run("eval", "--ind", ind, "--ood", o1, o2) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert text[-3:] == ["--- AVERAGE (equal weight per dataset)",
+                             "fpr95  0.250000", "auroc  0.812500"]
+        assert run("eval", "--ind", ind, "--ood", o1, o2, "--json-lines") == 0
+        records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert records[-2:] == [
+            {"dataset": "AVERAGE", "metric": "fpr95", "value": 0.25},
+            {"dataset": "AVERAGE", "metric": "auroc", "value": 0.8125},
+        ]

@@ -298,3 +298,164 @@ class TestComplementOnLoad:
         else:
             assert back.complement.shape == model.complement.shape
             assert back.complement.tobytes() == model.complement.tobytes()
+
+
+def _small_models():
+    """One small model of each container layout, keyed by name."""
+    rng = np.random.default_rng(13)
+    rff = rff_build("gaussian", 0.8, 4, 2, seed=5)
+    return {
+        "pca": fit(rng.normal(size=(12, 3)), identity_spec(3), evr_target=0.8),
+        "corp-residual": fit(rng.normal(size=(12, 2)), cosine_rff_spec(rff),
+                             evr_target=0.6, store_residual=True),
+        "kgau": fit_kernelspace(rng.normal(size=(5, 2)), "gaussian", gamma=0.9,
+                                evr_target=0.8),
+        "kcos": fit_kernelspace(rng.normal(size=(5, 2)), "cosine", evr_target=0.8),
+    }
+
+
+class TestHeaderRanges:
+    # Covariance header: evr f64 @6. Gram header: evr f64 @6, gamma f64 @14.
+    def _load(self, tmp_path, name, offset, value):
+        model = _small_models()[name]
+        return load_model(TestModelContainer()._patched(tmp_path, model, offset, "<d", value))
+
+    @pytest.mark.parametrize("evr", [np.nan, np.inf, -1.0, 5.0, 0.0])
+    @pytest.mark.parametrize("name", ["pca", "corp-residual"])
+    def test_covariance_evr_outside_unit_interval(self, tmp_path, name, evr):
+        with pytest.raises(FormatError, match="evr_target"):
+            self._load(tmp_path, name, 6, evr)
+
+    @pytest.mark.parametrize("evr", [np.nan, np.inf, -1.0, 5.0, 0.0, 1.0])
+    @pytest.mark.parametrize("name", ["kgau", "kcos"])
+    def test_gram_evr_outside_open_unit_interval(self, tmp_path, name, evr):
+        with pytest.raises(FormatError, match="evr_target"):
+            self._load(tmp_path, name, 6, evr)
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_kcos_gamma_not_finite(self, tmp_path, gamma):
+        with pytest.raises(FormatError, match="gamma"):
+            self._load(tmp_path, "kcos", 14, gamma)
+
+    def test_covariance_evr_one_accepted(self, tmp_path):
+        assert self._load(tmp_path, "pca", 6, 1.0).evr_target == 1.0
+
+
+class TestContainerErrorPaths:
+    def _saved(self, tmp_path, name):
+        p = tmp_path / "m.oodm"
+        save_model(p, _small_models()[name])
+        return p, p.read_bytes()
+
+    def _features(self, tmp_path):
+        p = tmp_path / "x.oodf"
+        save_features(p, np.arange(1.0, 7.0).reshape(3, 2))
+        return p, p.read_bytes()
+
+    @pytest.mark.parametrize("name", ["pca", "corp-residual", "kgau", "features"])
+    def test_every_truncation_rejected(self, tmp_path, name):
+        if name == "features":
+            p, blob = self._features(tmp_path)
+            load = load_features
+        else:
+            p, blob = self._saved(tmp_path, name)
+            load = load_model
+        assert len(blob) < 1000
+        for size in range(len(blob)):
+            p.write_bytes(blob[:size])
+            with pytest.raises(FormatError):
+                load(p)
+
+    @pytest.mark.parametrize("name", ["pca", "corp-residual", "kgau", "kcos"])
+    def test_bit_flips_rejected_or_round_trip(self, tmp_path, name):
+        # A flipped bit in the header or the first payload values either is
+        # rejected, or loads a model that saves back to the flipped bytes.
+        p, blob = self._saved(tmp_path, name)
+        again = tmp_path / "again.oodm"
+        loaded = 0
+        for bit in range(8 * min(80, len(blob))):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            p.write_bytes(bytes(flipped))
+            try:
+                model = load_model(p)
+            except (FormatError, NonFiniteError):
+                continue
+            save_model(again, model)
+            assert again.read_bytes() == bytes(flipped), f"bit {bit}"
+            loaded += 1
+        assert loaded > 0
+
+    @pytest.mark.parametrize("offset,fmt,value,message", [
+        (0, "<4s", b"OODX", "bad magic"),
+        (4, "<B", 2, "unsupported version 2"),
+    ])
+    @pytest.mark.parametrize("kind", ["model", "features"])
+    def test_bad_magic_or_version(self, tmp_path, kind, offset, fmt, value, message):
+        p, blob = (self._saved(tmp_path, "pca") if kind == "model"
+                   else self._features(tmp_path))
+        blob = bytearray(blob)
+        struct.pack_into(fmt, blob, offset, value)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=message):
+            (load_model if kind == "model" else load_features)(p)
+
+    @pytest.mark.parametrize("size", [0, 3, 5, 12])
+    def test_feature_file_shorter_than_header(self, tmp_path, size):
+        p, blob = self._features(tmp_path)
+        p.write_bytes(blob[:size])
+        with pytest.raises(FormatError, match=f"truncated at offset {0 if size < 5 else 5}"):
+            load_features(p)
+
+    @pytest.mark.parametrize("rows,cols", [(0, 2), (3, 0), (0, 0)])
+    def test_feature_file_empty_matrix(self, tmp_path, rows, cols):
+        p = tmp_path / "x.oodf"
+        p.write_bytes(struct.pack("<4sBII", b"OODF", 1, rows, cols))
+        with pytest.raises(FormatError, match="empty matrix"):
+            load_features(p)
+
+    def test_truncated_model_names_offset(self, tmp_path):
+        p, blob = self._saved(tmp_path, "pca")
+        p.write_bytes(blob[:-1])
+        with pytest.raises(FormatError, match="truncated at offset"):
+            load_model(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_model_payload(self, tmp_path, bad):
+        # pca header ends at byte 27; the mean vector follows.
+        p, blob = self._saved(tmp_path, "pca")
+        blob = bytearray(blob)
+        struct.pack_into("<d", blob, 27, bad)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(NonFiniteError, match="model payload contains NaN or Inf"):
+            load_model(p)
+
+    @pytest.mark.parametrize("name,flags", [("pca", 1), ("pca", 4), ("corp-residual", 2),
+                                            ("corp-residual", 7)])
+    def test_flags_disagree_with_method(self, tmp_path, name, flags):
+        p, blob = self._saved(tmp_path, name)
+        blob = bytearray(blob)
+        blob[26] = flags
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="flags disagree with method"):
+            load_model(p)
+
+    def test_feature_dim_inconsistent_with_map(self, tmp_path):
+        # corp's feature_dim must equal its M = 4; the check runs before
+        # the mean vector is read.
+        p, blob = self._saved(tmp_path, "corp-residual")
+        blob = bytearray(blob)
+        struct.pack_into("<I", blob, 18, 5)
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="feature_dim 5 inconsistent with map"):
+            load_model(p)
+
+    @pytest.mark.parametrize("indices,values", [
+        (np.arange(3), np.zeros(2)),
+        (np.arange(4).reshape(2, 2), np.zeros((2, 2))),
+    ])
+    def test_save_scores_shape_mismatch(self, tmp_path, indices, values):
+        p = tmp_path / "s.csv"
+        with pytest.raises(FormatError, match="matching 1-D vectors"):
+            save_scores(p, indices, values)
+        assert not p.exists()
