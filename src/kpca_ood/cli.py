@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -163,7 +164,13 @@ def _fit_model(method, train, flags, store_residual=False):
         gamma = median_heuristic_gamma(normalize_rows(train))
         print(f"gamma defaulted by median heuristic: {gamma:.6g}")
     if stage == GRAM:
-        return fit_kernelspace(train, kernel, gamma=gamma, evr_target=flags.evr)
+        # A degenerate fit warns; show it as one stderr line with its numbers.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            model = fit_kernelspace(train, kernel, gamma=gamma, evr_target=flags.evr)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        return model
     dim = train.shape[1]
     stages = (stage,)
     if kernel is not None:

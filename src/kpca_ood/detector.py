@@ -47,7 +47,7 @@ from .errors import (
     MissingResidualBasisError,
 )
 from .featmap import FeatureMapSpec, map_apply
-from .linalg import _row_blocks, sym_eig
+from .linalg import _row_blocks, _row_norms, sym_eig
 
 # Total variance below this means every mapped row is identical.
 DEGENERATE_VARIANCE = 1e-20
@@ -211,7 +211,7 @@ def _residual_norms(model: DetectorModel, x, proj: np.ndarray) -> np.ndarray:
             projected -= centered
         else:
             projected = centered @ proj
-        return np.linalg.norm(projected, axis=1)
+        return _row_norms(projected)
 
     return _row_blocks(block, x, proj.shape[0])
 

@@ -18,14 +18,16 @@ reals as little-endian float64:
       mean D, eigenvalues D, basis D*q column-major,
       [residual basis D*(D-q) column-major]
 
-  kernel family (kcos, kgau; gamma finite, and > 0 for kgau):
+  kernel family (kcos, kgau; gamma exactly 0.0 for kcos, which has no
+  bandwidth, and finite and > 0 for kgau):
       evr_target f64 in (0, 1), gamma f64, n_train u32, input_dim u32, l u32,
       train N*m row-major (normalized rows), vectors N*l column-major
 
 Scores CSV: header "index,score", one row per scored input, values
 rendered with 17 significant digits so parsing returns the exact written
-float64. All load paths validate magic/version/lengths and header ranges
-and reject non-finite payloads; save->load->save is byte-identical.
+float64; it is formatted and written one block of rows at a time. All
+load paths validate magic/version/lengths and header ranges and reject
+non-finite payloads; save->load->save is byte-identical.
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ METHODS = {
 _RFF_KERNELS = (GAUSSIAN, LAPLACIAN)  # a kernel byte is the position here
 
 _U32_MAX = 2**32 - 1
+_SCORE_BLOCK_ROWS = 65536  # rows of the score CSV formatted per write
+
+
+def _is_plus_zero(x: float) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) > 0.0
 
 
 # ---------------------------------------------------------------- features
@@ -159,6 +166,8 @@ def save_model(path, model) -> None:
         if model.residual_basis is not None:
             parts.append(_pack_f64(model.residual_basis, "F"))
     else:
+        if kernel == COSINE_KERNEL and not _is_plus_zero(model.gamma):
+            raise FormatError(f"kcos model gamma {model.gamma} is not 0.0")
         n, m = model.train.shape
         parts.append(
             struct.pack("<ddIII", model.evr_target, model.gamma, n, m, model.l)
@@ -263,8 +272,8 @@ def load_model(path):
         raise FormatError(f"{path}: l {l} outside [1, n_train {n}]")
     if kernel == GAUSSIAN_KERNEL and not 0 < gamma < math.inf:
         raise FormatError(f"{path}: gamma {gamma} is not finite and > 0")
-    if not math.isfinite(gamma):
-        raise FormatError(f"{path}: gamma {gamma} is not finite")
+    if kernel == COSINE_KERNEL and not _is_plus_zero(gamma):
+        raise FormatError(f"{path}: kcos gamma {gamma} is not 0.0")
     train = r.f64(n * m, (n, m), "C")
     vectors = r.f64(n * l, (n, l), "F")
     r.done()
@@ -287,10 +296,16 @@ def save_scores(path, indices, values) -> None:
     vals = np.asarray(values, dtype=np.float64)
     if idx.shape != vals.shape or idx.ndim != 1:
         raise FormatError("indices and scores must be matching 1-D vectors")
-    # Python ints and floats from tolist() format faster than numpy scalars.
-    rows = [f"{i},{v:.17g}\n" for i, v in zip(idx.tolist(), vals.tolist())]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("index,score\n" + "".join(rows))
+        fh.write("index,score\n")
+        for start in range(0, idx.size, _SCORE_BLOCK_ROWS):
+            # Python ints and floats from tolist() format faster than numpy
+            # scalars, and one % call per block beats one per row.
+            i = idx[start : start + _SCORE_BLOCK_ROWS].tolist()
+            cells = [None] * (2 * len(i))
+            cells[::2] = i
+            cells[1::2] = vals[start : start + _SCORE_BLOCK_ROWS].tolist()
+            fh.write("%d,%.17g\n" * len(i) % tuple(cells))
 
 
 def load_scores(path):

@@ -27,7 +27,7 @@ import numpy as np
 from .detector import choose_q
 from .errors import InvalidBandwidthError, InvalidSpecError
 from .featmap import normalize_rows
-from .linalg import _row_blocks, sym_eig
+from .linalg import _row_blocks, _row_norms, sym_eig
 
 COSINE_KERNEL = "cosine"
 GAUSSIAN_KERNEL = "gaussian"
@@ -110,8 +110,8 @@ def fit_kernelspace(
     l = n - q
     if l < 1:
         warnings.warn(
-            "explained-variance target consumed every Gram eigenvector; "
-            "clamping the residual dimension to 1",
+            f"explained-variance target {evr_target} keeps every Gram "
+            f"eigenvector (N={n}, q={q}); clamping the residual dimension to 1",
             stacklevel=2,
         )
         l = 1
@@ -138,6 +138,6 @@ def score_kernelspace(model: KernelSpaceModel, x) -> np.ndarray:
     def block(rows):
         xn = normalize_rows(rows, dim=train.shape[1])
         kq = _kernel(model.kernel_kind, model.gamma, xn @ train.T)
-        return np.linalg.norm(kq @ model.residual_vectors, axis=1)
+        return _row_norms(kq @ model.residual_vectors)
 
     return -_row_blocks(block, x, train.shape[0])

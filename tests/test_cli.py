@@ -255,6 +255,24 @@ class TestSweepBench:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert len(lines) == 4  # header + 3 rows
 
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_gram_residual_clamp_reported(self, tmp_path, capsys, command):
+        # Orthogonal rows give a flat Gram spectrum, so a target near 1
+        # keeps every eigenvector and the fit clamps l to 1.
+        x = tmp_path / "orth.oodf"
+        fileio.save_features(x, np.eye(4))
+        if command == "fit":
+            rc = run("fit", "--train", x, "--method", "kcos", "--evr", 0.999999,
+                     "--out", tmp_path / "m.oodm")
+        else:
+            rc = run("sweep", "--train", x, "--ind", x, "--ood", x,
+                     "--method", "kcos", "--param", "evr", "--values", "0.5,0.999999")
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: explained-variance target 0.999999 keeps every Gram "
+            "eigenvector (N=4, q=4); clamping the residual dimension to 1\n"
+        )
+
     def test_sweep_empty_values_usage(self, synth_files, tmp_path):
         ind, ood = synth_files
         rc = run("sweep", "--param", "evr", "--values", "",

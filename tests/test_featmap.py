@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from kpca_ood import featmap
 from kpca_ood.detector import fit, score_reconstruction
 from kpca_ood.errors import (
     DimMismatchError,
@@ -269,3 +275,83 @@ class TestMapLayouts:
         rff = RffMap("cauchy", 1.0, _RFF.omegas, _RFF.biases, seed=4)
         with pytest.raises(InvalidSpecError, match="unknown kernel kind"):
             cosine_rff_spec(rff)
+
+
+# Sizes around the table cosine's edges: below and at its size threshold,
+# around one chunk and just past two.
+_MIN = featmap._TABLE_MIN_SIZE
+_CHUNK = featmap._TABLE_CHUNK
+_SPLIT_SIZES = [1, _MIN - 1, _MIN, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+
+def _scaled_cos(t, m):
+    return featmap._scaled_cos(np.array(t, dtype=np.float64), m)
+
+
+def _np_scaled_cos(t, m):
+    return np.cos(t) * np.sqrt(2.0 / m)
+
+
+class TestTableCosine:
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("half_width", [4.0, 1e4, 0.999e5])
+    def test_error_against_long_double(self, half_width):
+        # M = 2 makes the scale 1, so this is the error of the cosine itself.
+        t = np.random.default_rng(21).uniform(-half_width, half_width, 400_000)
+        got = _scaled_cos(t, 2)
+        ref = np.cos(t.astype(np.longdouble))
+        assert float(np.max(np.abs(got - ref))) <= 1.5e-16
+        assert float(np.max(np.abs(got - np.cos(t)))) <= 2.3e-16
+
+    @pytest.mark.parametrize("m", [2, 100, 256])
+    def test_within_two_ulps_of_scaled_np_cos(self, m):
+        # The table folds sqrt(2/m) in; scaled values are below sqrt(2/m).
+        t = np.random.default_rng(22).uniform(-20.0, 20.0, 3 * _CHUNK)
+        diff = np.max(np.abs(_scaled_cos(t, m) - _np_scaled_cos(t, m)))
+        assert diff <= 2 * np.spacing(np.sqrt(2.0 / m))
+
+    @pytest.mark.parametrize("size", _SPLIT_SIZES)
+    def test_results_do_not_depend_on_chunk_split(self, size):
+        t = np.random.default_rng(23).uniform(-30.0, 30.0, 2 * _CHUNK + 50)
+        whole = _scaled_cos(t, 64)
+        for offset in (0, 7, 49):
+            got = _scaled_cos(t[offset : offset + size], 64)
+            if size < _MIN:
+                assert np.array_equal(got, _np_scaled_cos(t[offset : offset + size], 64))
+            else:
+                assert np.array_equal(got, whole[offset : offset + size])
+
+    def test_out_of_range_chunk_is_np_cos(self):
+        t = np.random.default_rng(24).uniform(-30.0, 30.0, 3 * _CHUNK)
+        t[_CHUNK + 5] = 2.0e5  # only the middle chunk holds one
+        got = _scaled_cos(t, 128)
+        middle = slice(_CHUNK, 2 * _CHUNK)
+        assert np.array_equal(got[middle], _np_scaled_cos(t[middle], 128))
+        table = _scaled_cos(np.delete(t, _CHUNK + 5), 128)
+        assert np.array_equal(got[:_CHUNK], table[:_CHUNK])
+        assert np.array_equal(got[2 * _CHUNK :], table[2 * _CHUNK - 1 :])
+
+    def test_large_cauchy_frequencies_take_np_cos(self):
+        # colp with a large gamma: some |t| exceed 1e5 in every chunk.
+        rff = rff_build("laplacian", 2e4, 512, 8, seed=3)
+        x = np.random.default_rng(25).normal(size=(96, 8))
+        xn = normalize_rows(x)
+        t = xn @ rff.omegas.T + rff.biases
+        chunks = np.abs(t).reshape(-1, _CHUNK)
+        assert np.all(chunks.max(axis=1) >= featmap._TABLE_MAX_ARG)
+        out = map_apply(cosine_rff_spec(rff), x)
+        assert np.array_equal(out, _np_scaled_cos(t, 512))
+
+    def test_importing_builds_no_table(self):
+        src = str(Path(featmap.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import kpca_ood; f = kpca_ood.featmap; "
+            "print(f._unit_tables.cache_info().currsize, "
+            "f._cos_tables.cache_info().currsize)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path)).stdout
+        assert out.split() == ["0", "0"]

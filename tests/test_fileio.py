@@ -6,6 +6,7 @@ import pytest
 from kpca_ood.detector import fit, score_reconstruction
 from kpca_ood.errors import FormatError, NonFiniteError
 from kpca_ood.featmap import cosine_rff_spec, cosine_spec, identity_spec, rff_build
+from kpca_ood import fileio
 from kpca_ood.fileio import (
     load_features,
     load_model,
@@ -283,6 +284,40 @@ class TestScoresCsv:
             load_scores(p)
 
 
+def _f_string_csv(indices, values) -> str:
+    """The score CSV as one f-string per row, the writer's earlier form."""
+    rows = [f"{i},{v:.17g}\n" for i, v in zip(indices.tolist(), values.tolist())]
+    return "index,score\n" + "".join(rows)
+
+
+class TestScoresCsvBlocks:
+    SPECIAL = [0.0, -0.0, 1e-300, 5e-324, -1.797e308, 1.0, -2.5]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_bytes_match_per_row_rendering(self, tmp_path, extra):
+        block = fileio._SCORE_BLOCK_ROWS
+        n = 20_000 if extra is None else block + extra
+        rng = np.random.default_rng(31)
+        vals = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        vals[rng.integers(0, n, size=len(self.SPECIAL))] = self.SPECIAL
+        idx = np.arange(n) * 3 - 7
+        p = tmp_path / "s.csv"
+        save_scores(p, idx, vals)
+        assert p.read_text(encoding="ascii") == _f_string_csv(idx, vals)
+
+    def test_two_blocks_and_a_row(self, tmp_path):
+        n = 2 * fileio._SCORE_BLOCK_ROWS + 1
+        vals = np.linspace(-1.0, 1.0, n)
+        p = tmp_path / "s.csv"
+        save_scores(p, np.arange(n), vals)
+        assert p.read_text(encoding="ascii") == _f_string_csv(np.arange(n), vals)
+
+    def test_empty(self, tmp_path):
+        p = tmp_path / "s.csv"
+        save_scores(p, np.arange(0), np.zeros(0))
+        assert p.read_text(encoding="ascii") == "index,score\n"
+
+
 class TestComplementOnLoad:
     @pytest.mark.parametrize("evr,wide", [(0.4, False), (0.95, True)])
     def test_reloaded_complement_bit_equal(self, tmp_path, evr, wide):
@@ -336,6 +371,28 @@ class TestHeaderRanges:
     def test_kcos_gamma_not_finite(self, tmp_path, gamma):
         with pytest.raises(FormatError, match="gamma"):
             self._load(tmp_path, "kcos", 14, gamma)
+
+    @pytest.mark.parametrize("gamma", [-0.0, 5e-324, 1.0, 5.0, -1.0])
+    def test_kcos_gamma_not_zero_rejected(self, tmp_path, gamma):
+        with pytest.raises(FormatError, match="kcos gamma"):
+            self._load(tmp_path, "kcos", 14, gamma)
+
+    @pytest.mark.parametrize("gamma", [-0.0, 5.0])
+    def test_kcos_gamma_not_zero_not_saved(self, tmp_path, gamma):
+        model = _small_models()["kcos"]
+        model.gamma = gamma
+        p = tmp_path / "m.oodm"
+        with pytest.raises(FormatError, match="kcos model gamma"):
+            save_model(p, model)
+        assert not p.exists()
+
+    def test_kcos_round_trip_keeps_gamma_zero(self, tmp_path):
+        p, q = tmp_path / "a.oodm", tmp_path / "b.oodm"
+        save_model(p, _small_models()["kcos"])
+        back = load_model(p)
+        assert struct.pack("<d", back.gamma) == bytes(8)
+        save_model(q, back)
+        assert q.read_bytes() == p.read_bytes()
 
     def test_covariance_evr_one_accepted(self, tmp_path):
         assert self._load(tmp_path, "pca", 6, 1.0).evr_target == 1.0
