@@ -9,7 +9,6 @@ metrics, synthetic generators, and binary file formats behind a CLI.
 
 from . import (
     baselines,
-    cli,
     detector,
     errors,
     featmap,
@@ -68,3 +67,13 @@ from .rng import make_prng, sample_cauchy, sample_gaussian, sample_uniform
 from .synth import SynthSpec, generate
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The CLI loads on first use, not with the package: importing it here
+    # would make ``python -m kpca_ood.cli`` run a module already imported.
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -127,6 +127,9 @@ def _check_args(args) -> None:
         _require(args.queries >= 0, "--queries must be >= 0")
         _require(args.reps >= 1, f"--reps must be >= 1, got {args.reps}")
         _require(args.knn_k >= 1, f"--knn-k must be >= 1, got {args.knn_k}")
+    elif command == "fuse":
+        _require(args.normalize_errors or args.errors_extra is None,
+                 "--errors-extra needs --normalize-errors")
     if command in ("fit", "bench"):
         evr, gamma, rff_dim = args.evr, args.gamma, args.rff_dim
         methods = [args.method] if command == "fit" else _bench_methods(args)

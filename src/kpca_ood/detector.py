@@ -163,7 +163,10 @@ def fit(
 ) -> DetectorModel:
     """Fit the mapped-space PCA model on in-distribution training rows.
 
-    ``map_apply`` validates each block of ``train`` as it maps it.
+    ``map_apply`` validates each block of ``train`` as it maps it. The
+    model's bytes are fixed by the rows, the spec and the BLAS thread
+    count: another count may move the last bits of the eigenbasis (see
+    ``linalg.sym_eig``), and so of the scores.
     """
     if not 0.0 < evr_target <= 1.0:
         raise ValueError(f"evr_target must be in (0, 1], got {evr_target}")

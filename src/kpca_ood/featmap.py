@@ -42,7 +42,7 @@ from .errors import (
     InvalidSpecError,
     ZeroVectorError,
 )
-from .linalg import _BLOCK_BYTES, _row_norms, as_feature_matrix
+from .linalg import _BLOCK_BYTES, _row_blocks, _row_norms, as_feature_matrix
 from .rng import make_prng, sample_cauchy, sample_gaussian, sample_uniform
 
 # Norms below this are treated as degenerate zero features.
@@ -92,17 +92,19 @@ def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A row is zero when its norm is below ZERO_NORM_FLOOR: it has no
     direction, which indicates upstream corruption rather than a sample.
+    The norms are computed one row block at a time, so the squared
+    entries are held for one block, never for the whole input.
     """
-    norms = _row_norms(x)
+    norms = _row_blocks(_row_norms, x, x.shape[1])
     return norms, np.flatnonzero(norms < ZERO_NORM_FLOOR)
 
 
 def _nonzero_row_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
     """row_norms of rows that passed as_feature_matrix; a zero row raises."""
     norms = _row_norms(x)
-    # The zero rows are listed only when there is one.
+    # The first zero row is looked for only when there is one.
     if norms.min() < ZERO_NORM_FLOOR:
-        i = int(row_norms(x)[1][0])
+        i = int(np.flatnonzero(norms < ZERO_NORM_FLOOR)[0])
         raise ZeroVectorError(f"{name} row {i} has zero norm", row_index=i)
     return norms
 

@@ -206,10 +206,10 @@ class _Reader:
             raise FormatError(f"{self.path}: truncated at offset {self.pos}")
         a = np.frombuffer(self.blob, dtype="<f8", count=count, offset=self.pos)
         self.pos += size
-        out = a.astype(np.float64).reshape(shape, order=order)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(a).all():
             raise NonFiniteError(f"{self.path}: model payload contains NaN or Inf")
-        return np.ascontiguousarray(out)
+        # One copy: native, writable, row-major, and not a view of the blob.
+        return np.array(a.reshape(shape, order=order), dtype=np.float64, order="C")
 
     def done(self):
         if self.pos != len(self.blob):

@@ -81,8 +81,9 @@ def gram(kernel_kind: str, gamma: float | None, x) -> np.ndarray:
     """Symmetric kernel matrix over the rows of x."""
     gamma = _check_kernel(kernel_kind, gamma)
     xn = normalize_rows(x)
-    dots = xn @ xn.T
-    k = _kernel(kernel_kind, gamma, 0.5 * (dots + dots.T))
+    # numpy forms xn @ xn.T with syrk and mirrors one triangle into the
+    # other, so the product is exactly symmetric.
+    k = _kernel(kernel_kind, gamma, xn @ xn.T)
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -94,7 +95,10 @@ def fit_kernelspace(
 
     The retained dimension q is chosen on the descending Gram spectrum by
     the explained-variance target (same mechanism as the covariance path);
-    the residual dimension is l = N - q, clamped to at least 1.
+    the residual dimension is l = N - q, clamped to at least 1. The
+    model's bytes are fixed by the rows, the kernel and the BLAS thread
+    count: at another count both the Gram product and the eigenvectors may
+    differ in their last bits.
     """
     if not 0.0 < evr_target < 1.0:
         raise ValueError(f"evr_target must be in (0, 1), got {evr_target}")

@@ -12,7 +12,10 @@ LAPACK fixes each eigenvector only up to sign, and which sign it returns
 is an implementation detail. ``sym_eig`` therefore applies one sign rule:
 every eigenvector column is flipped so that its largest-magnitude entry is
 positive (the first such entry on a tie). With it a fixed input gives the
-same bytes on every call, which saved models rely on.
+same bytes on every call at a fixed BLAS thread count, which saved models
+rely on. Another thread count may change the last bits of the
+eigenvectors, because the threaded BLAS calls inside LAPACK may split
+their sums differently.
 
 ``_row_blocks`` runs a per-row computation over fixed-size row blocks, so
 the batch paths (fit, the covariance and Gram scorers, knn) hold
@@ -132,7 +135,9 @@ def sym_eig(matrix) -> SymEigResult:
     Raises NonSymmetricError if |A - A^T| exceeds SYMMETRY_TOL anywhere,
     NonFiniteError on NaN/Inf. The input is symmetrized exactly via
     (A + A^T)/2 before it is decomposed; each eigenvector column is
-    signed so that its largest-magnitude entry is positive.
+    signed so that its largest-magnitude entry is positive. The result is
+    the same bytes for the same input at the same BLAS thread count; at
+    another count the eigenvectors may differ in their last bits.
     """
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -114,14 +114,13 @@ class EvalReport:
 
 
 def evaluate(ind_scores, ood_scores, tpr_target: float = 0.95) -> EvalReport:
-    ind = _check_scores(ind_scores, "ind")
-    ood = _check_scores(ood_scores, "ood")
-    fpr, thr = fpr_at_tpr(ind, ood, tpr_target)
+    # fpr_at_tpr checks both score sets before it reads tpr_target.
+    fpr, thr = fpr_at_tpr(ind_scores, ood_scores, tpr_target)
     return EvalReport(
         fpr95=fpr,
-        auroc=auroc(ind, ood),
-        n_ind=int(ind.size),
-        n_ood=int(ood.size),
+        auroc=auroc(ind_scores, ood_scores),
+        n_ind=int(np.size(ind_scores)),
+        n_ood=int(np.size(ood_scores)),
         threshold_at_95tpr=thr,
         tpr_target=tpr_target,
     )

@@ -244,6 +244,16 @@ class TestEvalFuse:
         _, fused = fileio.load_scores(out)
         assert np.allclose(fused, [1.0, 0.0])  # min-max to [0,1]
 
+    def test_fuse_errors_extra_widen_the_range(self, tmp_path):
+        e, x, b, out = (tmp_path / f"{n}.csv" for n in ("e", "x", "b", "f"))
+        self._write_scores(e, np.array([2.0, 4.0]))
+        self._write_scores(x, np.array([0.0, 6.0, 1.0]))
+        self._write_scores(b, np.array([1.0, 1.0]))
+        assert run("fuse", "--errors", e, "--base", b, "--out", out,
+                   "--normalize-errors", "--errors-extra", x) == 0
+        _, fused = fileio.load_scores(out)
+        assert np.allclose(fused, [2.0 / 3.0, 1.0 / 3.0])
+
 
 class TestSweepBench:
     def test_sweep_evr_table(self, synth_files, tmp_path, capsys):
@@ -582,13 +592,28 @@ class TestMethodTable:
 def test_python_dash_m_runs_the_cli():
     src = str(Path(kpca_ood.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "kpca_ood", "--help"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage: kpca-ood")
+    # The package does not import its cli module, so runpy has nothing to
+    # warn about when it runs kpca_ood.cli as __main__.
+    for module in ("kpca_ood", "kpca_ood.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, "--help"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, (module, proc.stderr)
+        assert proc.stdout.startswith("usage: kpca-ood")
+
+
+def test_package_loads_cli_on_first_use():
+    src = str(Path(kpca_ood.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, kpca_ood; print('kpca_ood.cli' in sys.modules); "
+            "print(kpca_ood.cli.main.__module__); kpca_ood.no_such_name")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout.split() == ["False", "kpca_ood.cli"]
+    assert proc.stderr.rstrip().endswith(
+        "AttributeError: module 'kpca_ood' has no attribute 'no_such_name'")
 
 
 class TestArgumentGate:
@@ -642,6 +667,18 @@ class TestArgumentGate:
         }
         assert {(c, f) for c, f, _ in self.CASES} | self.NO_RULE == declared
 
+    @pytest.mark.parametrize("n_extra", [0, 1])
+    def test_fuse_errors_extra_needs_normalize(self, tmp_path, capsys, n_extra):
+        missing = tmp_path / "none.csv"
+        assert run("fuse", "--errors", missing, "--base", missing,
+                   "--out", tmp_path / "f.csv",
+                   "--errors-extra", *[missing] * n_extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: --errors-extra needs --normalize-errors\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_largest_seed_accepted(self, tmp_path):
         assert run("synth", "--kind", "norm-shift", "--n", 20, "--dim", 3,
                    "--seed", 2**64 - 1, "--out", tmp_path / "d") == 0
@@ -651,6 +688,59 @@ class TestArgumentGate:
         assert run("fit", "--train", ind, "--method", "pca", "--seed", -1,
                    "--out", tmp_path / "m.oodm") == 1
         assert not (tmp_path / "m.oodm").exists()
+
+
+class TestBlasThreadCounts:
+    """The determinism contract of the README, one fresh process per run.
+
+    At a fixed OPENBLAS_NUM_THREADS a fit and a score give the same bytes
+    every time. At another count a fit may differ in the last bits of its
+    eigenvectors and Gram matrix, and scores of one saved model agree
+    within 1e-12 relative. On 64-dim rows both the corp scatter (256 x 256)
+    and the kgau Gram path are large enough for OpenBLAS to use 2 threads.
+    """
+
+    # argv: data prefix, output directory, directory of the model to score.
+    SCRIPT = """
+import sys
+from kpca_ood.cli import main
+data, out, ref = sys.argv[1:]
+for m in ("corp", "kgau"):
+    for argv in (
+        ["fit", "--train", data + ".ind.oodf", "--method", m, "--gamma", "2",
+         "--seed", "5", "--out", f"{out}/{m}.oodm"],
+        ["score", "--model", f"{ref}/{m}.oodm", "--features", data + ".ood.oodf",
+         "--out", f"{out}/{m}.csv"],
+    ):
+        if main(argv) != 0:
+            sys.exit(f"{argv[0]} {m} failed")
+"""
+
+    def test_fixed_bytes_per_count_close_scores_across(self, tmp_path):
+        data = tmp_path / "d"
+        assert run("synth", "--kind", "sphere-cluster", "--n", 400, "--dim", 64,
+                   "--seed", 3, "--out", data) == 0
+        src = str(Path(kpca_ood.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        one, two, again = (tmp_path / n for n in ("t1", "t2", "t2b"))
+        # The one-thread run scores its own model; the two-thread runs
+        # score that same model.
+        for out, threads in ((one, 1), (two, 2), (again, 2)):
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(data), str(out), str(one)],
+                capture_output=True, text=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=path,
+                         OPENBLAS_NUM_THREADS=str(threads)),
+            )
+            assert proc.returncode == 0, proc.stderr
+        for name in ("corp.oodm", "corp.csv", "kgau.oodm", "kgau.csv"):
+            assert (two / name).read_bytes() == (again / name).read_bytes(), name
+        for m in ("corp", "kgau"):
+            idx1, s1 = fileio.load_scores(one / f"{m}.csv")
+            idx2, s2 = fileio.load_scores(two / f"{m}.csv")
+            assert np.array_equal(idx1, idx2)
+            assert np.max(np.abs(s1 - s2) / np.abs(s1)) <= 1e-12, m
 
 
 class TestCommandOutput:

@@ -209,6 +209,20 @@ class TestSpecAndBatch:
             map_apply(spec, [[1.0, 1.0], [0.0, 0.0]])
         assert e.value.row_index == 1
 
+    def test_zero_row_costs_one_norm_pass(self, monkeypatch):
+        calls, row_norms_of = [], featmap._row_norms
+
+        def counted(x):
+            calls.append(x.shape)
+            return row_norms_of(x)
+
+        monkeypatch.setattr(featmap, "_row_norms", counted)
+        x = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ZeroVectorError, match="row 2 has zero norm") as e:
+            normalize_rows(x)
+        assert e.value.row_index == 2
+        assert calls == [(4, 2)]
+
     def test_row_norms_finds_every_zero_row(self):
         x = np.array([[3.0, 4.0], [0.0, 0.0], [-0.0, 1e-300], [1e-20, 0.0]])
         norms, zero = row_norms(x)

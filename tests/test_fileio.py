@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,24 @@ class TestComplementOnLoad:
         else:
             assert back.complement.shape == model.complement.shape
             assert back.complement.tobytes() == model.complement.tobytes()
+
+
+class TestLoadMemory:
+    def test_kgau_load_peak_is_about_twice_the_file(self, tmp_path):
+        # The file's bytes plus one float64 copy of each array; a second
+        # copy of the column-major vectors would take the peak to ~2.9x.
+        x = np.random.default_rng(5).normal(size=(1000, 16))
+        p = tmp_path / "k.oodm"
+        save_model(p, fit_kernelspace(x, "gaussian", gamma=2.0, evr_target=0.9))
+        tracemalloc.start()
+        try:
+            back = load_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.residual_vectors.flags.c_contiguous
+        assert back.residual_vectors.flags.writeable
+        assert peak <= 2.2 * p.stat().st_size, peak / p.stat().st_size
 
 
 def _small_models():

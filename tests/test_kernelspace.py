@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,25 @@ class TestGram:
         k1 = gram("cosine", None, x)
         k2 = gram("cosine", None, 5.0 * x)
         assert np.max(np.abs(k1 - k2)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, g", [("cosine", None), ("gaussian", 0.8)])
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (7, 40), (65, 16), (300, 9)])
+    def test_exactly_symmetric(self, kind, g, n, d):
+        x = np.random.default_rng(n * d).normal(size=(n, d))
+        k = gram(kind, g, x)
+        assert np.array_equal(k, k.T)
+
+    def test_traced_peak_is_one_gram_matrix(self):
+        n, d = 1000, 8
+        x = np.random.default_rng(3).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            k = gram("gaussian", 0.8, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.shape == (n, n)
+        assert peak <= 1.25 * n * n * 8, peak / (n * n * 8)
 
 
 class TestThreePointOracle:

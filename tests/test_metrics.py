@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from kpca_ood.errors import EmptyScoresError
+from kpca_ood import metrics
+from kpca_ood.errors import EmptyScoresError, NonFiniteError
 from kpca_ood.metrics import auroc, bench_scorers, evaluate, fpr_at_tpr
 
 
@@ -142,6 +143,29 @@ class TestEvaluate:
         assert "fpr95" in rep.to_text()
         metrics = {r["metric"] for r in rep.to_records()}
         assert metrics == {"fpr95", "auroc", "threshold", "n_ind", "n_ood"}
+
+    def test_each_score_set_checked_once_per_metric(self, monkeypatch):
+        calls, check = [], metrics._check_scores
+
+        def counted(x, name):
+            calls.append(name)
+            return check(x, name)
+
+        monkeypatch.setattr(metrics, "_check_scores", counted)
+        rep = evaluate([[3.0, 1.0], [2.0, 0.5]], np.zeros(3))
+        assert calls == ["ind", "ood", "ind", "ood"]
+        assert (rep.n_ind, rep.n_ood) == (4, 3)
+
+    @pytest.mark.parametrize("ind, ood, tpr, error, message", [
+        ([], [np.nan], 0.95, EmptyScoresError, "ind score set is empty"),
+        ([np.inf], [], 0.95, NonFiniteError, "ind scores contain NaN or Inf"),
+        ([1.0], [], 2.0, EmptyScoresError, "ood score set is empty"),
+        ([1.0], [np.nan], 2.0, NonFiniteError, "ood scores contain NaN or Inf"),
+        ([1.0], [0.0], 2.0, ValueError, "tpr_target must be in"),
+    ])
+    def test_first_error_wins(self, ind, ood, tpr, error, message):
+        with pytest.raises(error, match=message):
+            evaluate(ind, ood, tpr)
 
 
 class TestBench:

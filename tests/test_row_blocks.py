@@ -10,7 +10,13 @@ from kpca_ood import linalg
 from kpca_ood.baselines import build_knn, knn_score, reg_pca_error
 from kpca_ood.detector import fit, score_reconstruction, score_residual
 from kpca_ood.errors import DimMismatchError, NonFiniteError, ZeroVectorError
-from kpca_ood.featmap import cosine_rff_spec, cosine_spec, identity_spec, rff_build
+from kpca_ood.featmap import (
+    cosine_rff_spec,
+    cosine_spec,
+    identity_spec,
+    rff_build,
+    row_norms,
+)
 from kpca_ood.kernelspace import fit_kernelspace, score_kernelspace
 
 # With the patched constants every path runs 7-row blocks, so the N_ROWS-row
@@ -166,6 +172,17 @@ class TestBlockInvariance:
         oracle = -np.linalg.norm(kq @ model.residual_vectors, axis=1)
         assert np.array_equal(score_kernelspace(model, queries), oracle)
 
+    @pytest.mark.parametrize("d", [1, 3, 9, 64, 129])
+    def test_row_norms_bit_equal_to_one_block(self, monkeypatch, d):
+        x = np.random.default_rng(d).normal(size=(N_ROWS, d))
+        x[ZERO_ROW] = 0.0
+        whole = row_norms(x)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", BLOCK)
+        norms, zero = row_norms(x)
+        assert np.array_equal(norms, whole[0])
+        assert zero.tolist() == whole[1].tolist() == [ZERO_ROW]
+
     def test_zero_row_reports_its_global_index(self, small_blocks):
         rng = np.random.default_rng(35)
         d = 5
@@ -302,3 +319,17 @@ class TestBoundedMemory:
         # A float64 copy of the whole input would grow by n_small * 8 * d_in.
         assert allowed < n_small * 8 * d_in / 2
         assert growth <= allowed, (growth, allowed)
+
+    def test_row_norms(self):
+        d_in, n_small = 64, 10_000
+        rng = np.random.default_rng(46)
+        small = rng.normal(size=(n_small, d_in))
+        large = rng.normal(size=(2 * n_small, d_in))
+        large[[5, n_small + 7]] = 0.0
+        growth = (_traced_peak(lambda: row_norms(large))
+                  - _traced_peak(lambda: row_norms(small)))
+        allowed = n_small * 8 * self.VECTORS + self.SLACK
+        # An N x d_in square of the input would grow by n_small * 8 * d_in.
+        assert allowed < n_small * 8 * d_in / 2
+        assert growth <= allowed, (growth, allowed)
+        assert row_norms(large)[1].tolist() == [5, n_small + 7]
