@@ -20,10 +20,13 @@ The error is computed in one of two orientations, whichever needs the
 narrower GEMM. With q <= D - q it projects onto the retained basis U and
 back. With q > D - q it uses ||(I - U U^T) c|| = ||R^T c||, where R is an
 orthonormal basis of the orthogonal complement of U: the ``complement``
-field, derived from U's bytes (a complete QR plus one reorthogonalization
-pass) whenever a model is built, at fit and at load, and never saved.
-Deriving it from U alone makes a fitted model and its reloaded copy score
-bit for bit alike.
+field. A fit derives R from U (a complete QR plus one reorthogonalization
+pass); a model file holds only the basis its orientation reads, so a model
+loaded from R has no U (``basis`` is None) and loading makes no QR. The
+mean is folded into R once per model: ||R^T c|| = ||R^T phi - R^T mu||, so
+the R orientation never forms the centered rows. A fitted model and its
+reloaded copy hold the same R and mean bytes, so they score bit for bit
+alike.
 
 The trailing eigenvectors can optionally be retained (``residual_basis``,
 saved with the model); ``score_residual`` projects onto them, which yields
@@ -61,22 +64,29 @@ class DetectorModel:
 
     ``eigenvalues`` hold the full descending spectrum with negative
     rounding noise clamped to zero. ``residual_basis`` is None unless the
-    model was fitted with store_residual=True. ``complement`` is derived
-    from ``basis`` on construction: None when 2q <= D, else an orthonormal
-    D x (D - q) basis of the complement of ``basis``.
+    model was fitted with store_residual=True. ``complement`` is None when
+    2q <= D, else an orthonormal D x (D - q) basis of the complement of
+    the retained basis; when not given it is derived from ``basis``. A
+    model loaded from a file that holds R has ``basis`` None.
+    ``complement_mean`` is R^T mu, derived on construction.
     """
 
     map_spec: FeatureMapSpec
     mean: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray | None
     residual_basis: np.ndarray | None
     eigenvalues: np.ndarray
     q: int
     evr_target: float
-    complement: np.ndarray | None = field(init=False, repr=False)
+    complement: np.ndarray | None = field(default=None, repr=False)
+    complement_mean: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.complement = _complement(self.basis)
+        if self.complement is None:
+            self.complement = _complement(self.basis)
+        self.complement_mean = (
+            None if self.complement is None else self.mean @ self.complement
+        )
 
     @property
     def feature_dim(self) -> int:
@@ -199,21 +209,27 @@ def fit(
     )
 
 
-def _residual_norms(model: DetectorModel, x, proj: np.ndarray) -> np.ndarray:
+def _residual_norms(
+    model: DetectorModel, x, proj: np.ndarray, offset=None
+) -> np.ndarray:
     """Per-row norm of the part of the centered mapped row outside U.
 
-    ``proj`` is either the retained basis U, giving ||U U^T c - c||, or an
-    orthonormal basis R of U's complement, giving ||R^T c||.
+    With ``offset`` None, ``proj`` is the retained basis U, giving
+    ||U U^T c - c|| for c = phi - mu. Otherwise ``proj`` is an orthonormal
+    basis P of (part of) U's complement and ``offset`` is P^T mu, giving
+    ||P^T phi - P^T mu|| = ||P^T c|| without forming c.
     """
 
     def block(rows):
-        # Not in place: with the identity map, map_apply returns rows itself.
-        centered = map_apply(model.map_spec, rows) - model.mean
-        if proj is model.basis:
+        phi = map_apply(model.map_spec, rows)
+        if offset is None:
+            # Not in place: with the identity map, map_apply returns rows itself.
+            centered = phi - model.mean
             projected = (centered @ proj) @ proj.T
             projected -= centered
         else:
-            projected = centered @ proj
+            projected = phi @ proj
+            projected -= offset
         return _row_norms(projected)
 
     return _row_blocks(block, x, proj.shape[0])
@@ -221,8 +237,9 @@ def _residual_norms(model: DetectorModel, x, proj: np.ndarray) -> np.ndarray:
 
 def reconstruction_errors(model: DetectorModel, x) -> np.ndarray:
     """Per-row distance between the mapped row and its projection."""
-    proj = model.basis if model.complement is None else model.complement
-    return _residual_norms(model, x, proj)
+    if model.complement is None:
+        return _residual_norms(model, x, model.basis)
+    return _residual_norms(model, x, model.complement, model.complement_mean)
 
 
 def score_reconstruction(model: DetectorModel, x) -> np.ndarray:
@@ -241,4 +258,5 @@ def score_residual(model: DetectorModel, x) -> np.ndarray:
         raise MissingResidualBasisError(
             "model was fitted without store_residual=True"
         )
-    return -_residual_norms(model, x, model.residual_basis)
+    a = model.residual_basis
+    return -_residual_norms(model, x, a, model.mean @ a)

@@ -5,9 +5,10 @@ Feature container ("OODF"): magic, version byte 0x01, u32 rows, u32 cols
 for features and for logits. Storage is 32-bit to match typical feature
 exports; everything computes in 64-bit after load.
 
-Model container ("OODM"): magic, version byte 0x01, method byte (the
-tag's position in ``METHODS``), then a method-family payload with all
-reals as little-endian float64:
+Model container ("OODM"), version 2: magic, version byte 0x02, method byte
+(the tag's position in ``METHODS``), then a method-family payload with all
+reals as little-endian float64, then a u32 CRC-32 (``zlib.crc32``) of every
+preceding byte. Each file holds only the eigenbasis its scorer reads:
 
   covariance family (pca, cop, corp, colp):
       evr_target f64 in (0, 1], input_dim u32, feature_dim u32, q u32, flags u8
@@ -15,13 +16,25 @@ reals as little-endian float64:
       [kernel u8 (the method's: 0 gaussian, 1 laplacian), gamma f64 > 0,
        M u32, d_in u32 (= input_dim), seed u64,
        omegas M*d_in row-major, biases M],
-      mean D, eigenvalues D, basis D*q column-major,
+      mean D, eigenvalues D,
+      basis column-major: U (D*q) when 2q <= D, else R (D*(D-q)), an
+      orthonormal basis of U's complement,
       [residual basis D*(D-q) column-major]
 
   kernel family (kcos, kgau; gamma exactly 0.0 for kcos, which has no
   bandwidth, and finite and > 0 for kgau):
       evr_target f64 in (0, 1), gamma f64, n_train u32, input_dim u32, l u32,
-      train N*m row-major (normalized rows), vectors N*l column-major
+      flags u8 (bit0 = holds the N-l leading Gram eigenvectors V, else the
+      l trailing ones A),
+      train N*m row-major (normalized rows),
+      vectors column-major: V (N*(N-l)) or A (N*l)
+
+The loader checks every header field rule first, so each keeps its own
+message, then the file's length and the checksum, and only then reads
+payload values; a damaged file raises FormatError. Version 1 (no trailer,
+no Gram flags byte, the covariance basis always U) still loads: a wide
+version-1 covariance model derives R from U by QR, and any version-1 Gram
+model holds A. Saving always writes version 2.
 
 Scores CSV: header "index,score", one row per scored input, values
 rendered with 17 significant digits so parsing returns the exact written
@@ -32,8 +45,11 @@ non-finite payloads; save->load->save is byte-identical.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
+import warnings
+import zlib
 
 import numpy as np
 
@@ -52,7 +68,8 @@ from .linalg import as_feature_matrix
 
 FEATURE_MAGIC = b"OODF"
 MODEL_MAGIC = b"OODM"
-VERSION = 1
+FEATURE_VERSION = 1
+MODEL_VERSION = 2
 
 # tag -> (map stage, kernel). A covariance method maps rows through its
 # stage, then through random Fourier features of its kernel if it has one;
@@ -71,6 +88,7 @@ _RFF_KERNELS = (GAUSSIAN, LAPLACIAN)  # a kernel byte is the position here
 
 _U32_MAX = 2**32 - 1
 _SCORE_BLOCK_ROWS = 65536  # rows of the score CSV formatted per write
+_CSV_CHARS = b"0123456789+-.eE,\n"  # every byte of a score CSV body with finite rows
 
 
 def _is_plus_zero(x: float) -> bool:
@@ -91,13 +109,13 @@ def save_features(path, x) -> None:
     if not np.all(np.isfinite(payload)):
         raise NonFiniteError("values overflow float32 storage")
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sBII", FEATURE_MAGIC, VERSION, rows, cols))
+        fh.write(struct.pack("<4sBII", FEATURE_MAGIC, FEATURE_VERSION, rows, cols))
         fh.write(payload.tobytes(order="C"))
 
 
 def load_features(path) -> np.ndarray:
     """Read a feature/logits container back as float64."""
-    r = _Reader(path, FEATURE_MAGIC)
+    r = _Reader(path, FEATURE_MAGIC, (FEATURE_VERSION,))
     rows, cols = r.unpack("<II")
     want = 13 + rows * cols * 4
     if len(r.blob) != want:
@@ -132,9 +150,11 @@ def _pack_f64(a: np.ndarray, order: str) -> bytes:
 
 
 def save_model(path, model) -> None:
+    """Write a version-2 model container: the basis its scorer reads, then
+    a CRC-32 of every preceding byte."""
     tag = method_for_model(model)
     stage, kernel = METHODS[tag]
-    parts = [struct.pack("<4sBB", MODEL_MAGIC, VERSION, list(METHODS).index(tag))]
+    parts = [struct.pack("<4sBB", MODEL_MAGIC, MODEL_VERSION, list(METHODS).index(tag))]
     if stage != GRAM:
         d = model.feature_dim
         q = model.q
@@ -162,65 +182,89 @@ def save_model(path, model) -> None:
             parts.append(_pack_f64(rff.biases, "C"))
         parts.append(_pack_f64(model.mean, "C"))
         parts.append(_pack_f64(model.eigenvalues, "C"))
-        parts.append(_pack_f64(model.basis, "F"))
+        parts.append(_pack_f64(model.basis if 2 * q <= d else model.complement, "F"))
         if model.residual_basis is not None:
             parts.append(_pack_f64(model.residual_basis, "F"))
     else:
         if kernel == COSINE_KERNEL and not _is_plus_zero(model.gamma):
             raise FormatError(f"kcos model gamma {model.gamma} is not 0.0")
         n, m = model.train.shape
+        leading = model.residual_vectors is None
         parts.append(
-            struct.pack("<ddIII", model.evr_target, model.gamma, n, m, model.l)
+            struct.pack(
+                "<ddIIIB", model.evr_target, model.gamma, n, m, model.l, leading
+            )
         )
         parts.append(_pack_f64(model.train, "C"))
-        parts.append(_pack_f64(model.residual_vectors, "F"))
+        vectors = model.leading_vectors if leading else model.residual_vectors
+        parts.append(_pack_f64(vectors, "F"))
+    blob = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(blob)
+        fh.write(struct.pack("<I", zlib.crc32(blob)))
 
 
 class _Reader:
-    """A container file's bytes, read past its checked magic and version."""
+    """A container file's bytes, read past its checked magic and version.
 
-    def __init__(self, path, magic: bytes):
+    A version-2 model file ends in a CRC-32 trailer that ``arrays`` checks
+    before it reads any payload value.
+    """
+
+    def __init__(self, path, magic: bytes, versions):
         with open(path, "rb") as fh:
             self.blob = fh.read()
         self.path = path
         self.pos = 0
-        found, version = self.unpack("<4sB")
+        self.end = len(self.blob)
+        found, self.version = self.unpack("<4sB")
         if found != magic:
             raise FormatError(f"{path}: bad magic {found!r}")
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        if self.version not in versions:
+            raise FormatError(f"{path}: unsupported version {self.version}")
+        if magic == MODEL_MAGIC and self.version >= 2:
+            self.end -= 4
 
     def unpack(self, fmt: str):
         size = struct.calcsize(fmt)
-        if self.pos + size > len(self.blob):
+        if self.pos + size > self.end:
             raise FormatError(f"{self.path}: truncated at offset {self.pos}")
         out = struct.unpack_from(fmt, self.blob, self.pos)
         self.pos += size
         return out
 
-    def f64(self, count: int, shape, order: str) -> np.ndarray:
-        size = count * 8
-        if self.pos + size > len(self.blob):
-            raise FormatError(f"{self.path}: truncated at offset {self.pos}")
-        a = np.frombuffer(self.blob, dtype="<f8", count=count, offset=self.pos)
-        self.pos += size
-        if not np.isfinite(a).all():
-            raise NonFiniteError(f"{self.path}: model payload contains NaN or Inf")
-        # One copy: native, writable, row-major, and not a view of the blob.
-        return np.array(a.reshape(shape, order=order), dtype=np.float64, order="C")
+    def arrays(self, *layouts) -> list:
+        """The rest of the file as float64 arrays of the (shape, order) layouts.
 
-    def done(self):
-        if self.pos != len(self.blob):
-            raise FormatError(
-                f"{self.path}: {len(self.blob) - self.pos} trailing bytes"
-            )
+        The arrays must fill the file up to its trailer, and the checksum
+        must match, before any value is checked finite and copied out.
+        """
+        views = []
+        for shape, _ in layouts:
+            count = math.prod(shape)
+            if self.pos + count * 8 > self.end:
+                raise FormatError(f"{self.path}: truncated at offset {self.pos}")
+            views.append(np.frombuffer(self.blob, "<f8", count, self.pos))
+            self.pos += count * 8
+        if self.pos != self.end:
+            raise FormatError(f"{self.path}: {self.end - self.pos} trailing bytes")
+        if self.end < len(self.blob):
+            (crc,) = struct.unpack_from("<I", self.blob, self.end)
+            if zlib.crc32(memoryview(self.blob)[: self.end]) != crc:
+                raise FormatError(f"{self.path}: checksum mismatch")
+        out = []
+        for a, (shape, order) in zip(views, layouts):
+            if not np.isfinite(a).all():
+                raise NonFiniteError(f"{self.path}: model payload contains NaN or Inf")
+            # One copy: native, writable, row-major, and not a view of the blob.
+            out.append(np.array(a.reshape(shape, order=order), np.float64, order="C"))
+        return out
 
 
 def load_model(path):
-    """Load a model container; returns DetectorModel or KernelSpaceModel."""
-    r = _Reader(path, MODEL_MAGIC)
+    """Load a version-1 or version-2 model container; returns DetectorModel
+    or KernelSpaceModel."""
+    r = _Reader(path, MODEL_MAGIC, (1, MODEL_VERSION))
     (method_byte,) = r.unpack("<B")
     if method_byte >= len(METHODS):
         raise FormatError(f"{path}: unknown method byte {method_byte}")
@@ -235,7 +279,8 @@ def load_model(path):
             raise FormatError(f"{path}: q {q} outside [1, feature_dim {d}]")
         if flags > 3 or bool(flags & 1) != (kernel is not None):
             raise FormatError(f"{path}: flags disagree with method {method}")
-        stages = (stage,)
+        layouts = []
+        m = input_dim
         if kernel is not None:
             kernel_byte, gamma, m, d_in, seed = r.unpack("<BdIIQ")
             if kernel_byte != _RFF_KERNELS.index(kernel):
@@ -244,46 +289,54 @@ def load_model(path):
                 raise FormatError(f"{path}: gamma {gamma} is not finite and > 0")
             if d_in != input_dim:
                 raise FormatError(f"{path}: d_in {d_in} != input_dim {input_dim}")
-            omegas = r.f64(m * d_in, (m, d_in), "C")
-            biases = r.f64(m, (m,), "C")
-            stages += (RffMap(kernel, gamma, omegas, biases, int(seed)),)
-        spec = FeatureMapSpec(stages=stages, input_dim=input_dim)
-        if spec.output_dim != d:
+            layouts += [((m, d_in), "C"), ((m,), "C")]
+        if m != d:
             raise FormatError(f"{path}: feature_dim {d} inconsistent with map")
-        mean = r.f64(d, (d,), "C")
-        eigenvalues = r.f64(d, (d,), "C")
-        basis = r.f64(d * q, (d, q), "F")
-        residual = r.f64(d * (d - q), (d, d - q), "F") if flags & 2 else None
-        r.done()
+        # Version 2 holds R, not U, when 2q > D.
+        holds_r = r.version >= 2 and 2 * q > d
+        layouts += [((d,), "C"), ((d,), "C"), ((d, d - q if holds_r else q), "F")]
+        if flags & 2:
+            layouts.append(((d, d - q), "F"))
+        arrays = r.arrays(*layouts)
+        residual = arrays.pop() if flags & 2 else None
+        mean, eigenvalues, basis = arrays[-3:]
+        stages = (stage,)
+        if kernel is not None:
+            stages += (RffMap(kernel, gamma, arrays[0], arrays[1], int(seed)),)
         return DetectorModel(
-            map_spec=spec,
+            map_spec=FeatureMapSpec(stages=stages, input_dim=input_dim),
             mean=mean,
-            basis=basis,
+            basis=None if holds_r else basis,
             residual_basis=residual,
             eigenvalues=eigenvalues,
             q=int(q),
             evr_target=float(evr),
+            complement=basis if holds_r else None,
         )
 
-    evr, gamma, n, m, l = r.unpack("<ddIII")
+    if r.version >= 2:
+        evr, gamma, n, m, l, flags = r.unpack("<ddIIIB")
+    else:
+        (evr, gamma, n, m, l), flags = r.unpack("<ddIII"), 0
     if not 0.0 < evr < 1.0:
         raise FormatError(f"{path}: evr_target {evr} outside (0, 1)")
+    if flags > 1:
+        raise FormatError(f"{path}: unknown flags {flags}")
     if not 1 <= l <= n:
         raise FormatError(f"{path}: l {l} outside [1, n_train {n}]")
     if kernel == GAUSSIAN_KERNEL and not 0 < gamma < math.inf:
         raise FormatError(f"{path}: gamma {gamma} is not finite and > 0")
     if kernel == COSINE_KERNEL and not _is_plus_zero(gamma):
         raise FormatError(f"{path}: kcos gamma {gamma} is not 0.0")
-    train = r.f64(n * m, (n, m), "C")
-    vectors = r.f64(n * l, (n, l), "F")
-    r.done()
+    train, vectors = r.arrays(((n, m), "C"), ((n, n - l if flags else l), "F"))
     return KernelSpaceModel(
         kernel_kind=kernel,
         gamma=float(gamma),
         train=train,
-        residual_vectors=vectors,
+        residual_vectors=None if flags else vectors,
         l=int(l),
         evr_target=float(evr),
+        leading_vectors=vectors if flags else None,
     )
 
 
@@ -314,7 +367,23 @@ def load_scores(path):
     Rejects a NaN or Inf score with NonFiniteError naming its line.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    header, _, body = text.partition("\n")
+    # The fast path takes only files made of the characters a finite CSV
+    # row needs; loadtxt then parses exactly what the per-line reader
+    # would. Anything else, or any value loadtxt rejects or finds not
+    # finite, goes to the per-line reader, which raises its own error.
+    if header == "index,score" and not body.encode().translate(None, _CSV_CHARS):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                                  dtype=[("i", "<i8"), ("s", "<f8")], ndmin=1)
+        except (ValueError, Warning):
+            rows = None
+        if rows is not None and np.isfinite(rows["s"]).all():
+            return np.ascontiguousarray(rows["i"]), np.ascontiguousarray(rows["s"])
+    lines = text.splitlines()
     if not lines or lines[0] != "index,score":
         raise FormatError(f"{path}: missing 'index,score' header")
     idx, vals = [], []

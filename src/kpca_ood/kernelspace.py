@@ -2,9 +2,12 @@
 
 Instead of mapping features explicitly, this path eigendecomposes the
 uncentered N x N kernel matrix on training data and scores a query by the
-norm of its kernel vector projected onto the trailing eigenvectors (the
-ones with the smallest eigenvalues). Lower projection norm reads as more
-in-distribution, so scores are negated norms.
+norm of its kernel vector projected onto the l trailing eigenvectors A
+(the ones with the smallest eigenvalues). Lower projection norm reads as
+more in-distribution, so scores are negated norms. [V A], with V the
+q = N - l leading eigenvectors, is an orthonormal eigenbasis, so
+||A^T k|| = ||k - V V^T k||: a fit keeps V when 2q < l and A otherwise,
+and the scorer reads whichever the model holds.
 
 Both supported kernels operate on unit-normalized rows: "cosine" is the
 plain inner product after normalization, "gaussian" applies
@@ -35,14 +38,20 @@ GAUSSIAN_KERNEL = "gaussian"
 
 @dataclass(eq=False)
 class KernelSpaceModel:
-    """Stored training rows (normalized) plus trailing Gram eigenvectors."""
+    """Stored training rows (normalized) plus one Gram eigenbasis.
+
+    A model holds the trailing vectors A (``residual_vectors``) or, when
+    that is None, the leading vectors V (``leading_vectors``).
+    """
 
     kernel_kind: str
     gamma: float
     train: np.ndarray  # (N, m), unit rows
-    residual_vectors: np.ndarray  # (N, l), eigenvectors of the l smallest eigenvalues
+    # (N, l), eigenvectors of the l smallest eigenvalues
+    residual_vectors: np.ndarray | None
     l: int
     evr_target: float
+    leading_vectors: np.ndarray | None = None  # (N, N - l), the others
 
     @property
     def n_train(self) -> int:
@@ -91,14 +100,15 @@ def gram(kernel_kind: str, gamma: float | None, x) -> np.ndarray:
 def fit_kernelspace(
     x, kernel_kind: str, gamma: float | None = None, evr_target: float = 0.90
 ) -> KernelSpaceModel:
-    """Eigendecompose the training Gram matrix and keep the trailing vectors.
+    """Eigendecompose the training Gram matrix and keep the narrower basis.
 
     The retained dimension q is chosen on the descending Gram spectrum by
     the explained-variance target (same mechanism as the covariance path);
-    the residual dimension is l = N - q, clamped to at least 1. The
-    model's bytes are fixed by the rows, the kernel and the BLAS thread
-    count: at another count both the Gram product and the eigenvectors may
-    differ in their last bits.
+    the residual dimension is l = N - q, clamped to at least 1. The model
+    keeps the N - l leading vectors when 2(N - l) < l, else the l trailing
+    ones. The model's bytes are fixed by the rows, the kernel and the BLAS
+    thread count: at another count both the Gram product and the
+    eigenvectors may differ in their last bits.
     """
     if not 0.0 < evr_target < 1.0:
         raise ValueError(f"evr_target must be in (0, 1), got {evr_target}")
@@ -119,29 +129,38 @@ def fit_kernelspace(
             stacklevel=2,
         )
         l = 1
-    a = np.ascontiguousarray(eig.eigenvectors[:, n - l :])
+    leading = 2 * (n - l) < l
+    vectors = eig.eigenvectors[:, : n - l] if leading else eig.eigenvectors[:, n - l :]
+    vectors = np.ascontiguousarray(vectors)
     return KernelSpaceModel(
         kernel_kind=kernel_kind,
         gamma=gamma,
         train=xn,
-        residual_vectors=a,
+        residual_vectors=None if leading else vectors,
         l=l,
         evr_target=float(evr_target),
+        leading_vectors=vectors if leading else None,
     )
 
 
 def score_kernelspace(model: KernelSpaceModel, x) -> np.ndarray:
     """Negated norm of the kernel vector projected on the trailing vectors.
 
+    That is ||A^T k|| through the trailing vectors A, or ||k - V V^T k||
+    through the leading vectors V, computed in place on the kernel block.
     Queries run through the same normalization as training, one row block
     at a time; per-query time and memory are linear in the stored training
     size.
     """
     train = model.train
+    a, v = model.residual_vectors, model.leading_vectors
 
     def block(rows):
         xn = normalize_rows(rows, dim=train.shape[1])
         kq = _kernel(model.kernel_kind, model.gamma, xn @ train.T)
-        return _row_norms(kq @ model.residual_vectors)
+        if a is not None:
+            return _row_norms(kq @ a)
+        kq -= (kq @ v) @ v.T
+        return _row_norms(kq)
 
     return -_row_blocks(block, x, train.shape[0])

@@ -1,5 +1,8 @@
+import math
 import struct
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +288,91 @@ class TestScoresCsv:
             load_scores(p)
 
 
+def _per_line_load_scores(path):
+    """The score CSV reader as one Python parse per line, its earlier form."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != "index,score":
+        raise FormatError(f"{path}: missing 'index,score' header")
+    idx, vals = [], []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            left, right = line.split(",")
+            idx.append(int(left))
+            vals.append(float(right))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln}: bad row {line!r}") from exc
+        if not math.isfinite(vals[-1]):
+            raise NonFiniteError(f"{path}:{ln}: non-finite score {right!r}")
+    return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64)
+
+
+H = b"index,score\n"
+
+
+class TestScoresCsvParse:
+    """load_scores returns the per-line reader's arrays bit for bit, and
+    raises its exception class with its message."""
+
+    @pytest.mark.parametrize("blob", [
+        H,
+        b"index,score",
+        H + b"0,1.5",
+        H + b"0,1.5\n1,-2\n",
+        H + b"0,-0.0\n1,5e-324\n2,1.7e308\n3,-1.7e308\n72057594037927936,2.5e-310\n",
+        H + b"-9223372036854775808,1\n9223372036854775807,2\n",
+        H + b"+5,+.5\n007,5.\n-0,-0\n1,1E5\n2,1e-400\n",
+        H + b"0,1\n\n\n1,2\n\n",
+        H + b"0,1\r\n1,2\r\n",
+        H + b"0,1\r1,2\r",
+        H + b"0, 1\n 1 ,2 \n",
+        H + b"0,1\x0c1,2\n",
+        H + b"1_0,1_0\n",
+    ])
+    def test_valid_files(self, tmp_path, blob):
+        p = tmp_path / "s.csv"
+        p.write_bytes(blob)
+        idx, vals = load_scores(p)
+        want_idx, want_vals = _per_line_load_scores(p)
+        assert idx.dtype == np.int64 and vals.dtype == np.float64
+        assert idx.tobytes() == want_idx.tobytes()
+        assert vals.tobytes() == want_vals.tobytes()
+
+    @pytest.mark.parametrize("blob", [
+        b"",
+        b"index,score ",
+        b"\nindex,score\n0,1\n",
+        H + b"   \n",
+        H + b"0,1\n \n1,2\n",
+        H + b"0,1\n\t\n",
+        H + b"0,1,2\n",
+        H + b"# note\n0,1\n",
+        H + b"0,1 # note\n",
+        H + b"0,nan\n",
+        H + b"0,1\n1,-inf\n",
+        H + b"0,1e999\n",
+        H + b"1e5,1\n",
+        H + b"1.0,1\n",
+        H + b"0,\n",
+        H + b",1\n",
+        H + b"0\n",
+        H + b"0,0x10\n",
+        H + b"0,1e\n",
+        H + b"0,1\r\n1,abc\r\n",
+        H + b"99999999999999999999,1\n",
+    ])
+    def test_malformed_files(self, tmp_path, blob):
+        p = tmp_path / "s.csv"
+        p.write_bytes(blob)
+        with pytest.raises(Exception) as want:
+            _per_line_load_scores(p)
+        with pytest.raises(want.type) as got:
+            load_scores(p)
+        assert str(got.value) == str(want.value)
+
+
 def _f_string_csv(indices, values) -> str:
     """The score CSV as one f-string per row, the writer's earlier form."""
     rows = [f"{i},{v:.17g}\n" for i, v in zip(indices.tolist(), values.tolist())]
@@ -354,6 +442,25 @@ class TestLoadMemory:
         assert peak <= 2.2 * p.stat().st_size, peak / p.stat().st_size
 
 
+def _resealed(blob) -> bytes:
+    """A version-2 model file's bytes with the CRC-32 trailer recomputed."""
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+V1_DATA = Path(__file__).parent / "data" / "v1"
+
+
+def _as_version_2(blob) -> bytes:
+    """The version-2 file of a version-1 file whose stored basis is also the
+    version-2 one (U with 2q <= D, or the trailing Gram vectors)."""
+    out = bytearray(blob)
+    out[4] = 2
+    if out[5] >= list(fileio.METHODS).index("kcos"):
+        out[34:34] = b"\x00"  # Gram flags byte, after l
+    return _resealed(bytes(out) + bytes(4))
+
+
 def _small_models():
     """One small model of each container layout, keyed by name."""
     rng = np.random.default_rng(13)
@@ -365,6 +472,10 @@ def _small_models():
         "kgau": fit_kernelspace(rng.normal(size=(5, 2)), "gaussian", gamma=0.9,
                                 evr_target=0.8),
         "kcos": fit_kernelspace(rng.normal(size=(5, 2)), "cosine", evr_target=0.8),
+        "corp-wide": fit(rng.normal(size=(12, 2)), cosine_rff_spec(rff),
+                         evr_target=0.99, store_residual=True),
+        "kcos-leading": fit_kernelspace(rng.normal(size=(7, 2)), "cosine",
+                                        evr_target=0.8),
     }
 
 
@@ -414,7 +525,10 @@ class TestHeaderRanges:
         assert q.read_bytes() == p.read_bytes()
 
     def test_covariance_evr_one_accepted(self, tmp_path):
-        assert self._load(tmp_path, "pca", 6, 1.0).evr_target == 1.0
+        # A valid value loads once the trailer is recomputed.
+        p = TestModelContainer()._patched(tmp_path, _small_models()["pca"], 6, "<d", 1.0)
+        p.write_bytes(_resealed(p.read_bytes()))
+        assert load_model(p).evr_target == 1.0
 
 
 class TestContainerErrorPaths:
@@ -444,10 +558,14 @@ class TestContainerErrorPaths:
 
     @pytest.mark.parametrize("name", ["pca", "corp-residual", "kgau", "kcos"])
     def test_bit_flips_rejected_or_round_trip(self, tmp_path, name):
-        # A flipped bit in the header or the first payload values either is
-        # rejected, or loads a model that saves back to the flipped bytes.
-        p, blob = self._saved(tmp_path, name)
-        again = tmp_path / "again.oodm"
+        # Version 1 has no checksum. A flipped bit in the header or the
+        # first payload values of a version-1 file either is rejected, or
+        # loads a model that saves back to the flipped bytes as version 2;
+        # a flip that makes a covariance model wide (2q > D) saves the R
+        # derived from the file's U instead.
+        blob = (V1_DATA / f"{name}.oodm").read_bytes()
+        assert blob[4] == 1
+        p, again = tmp_path / "m.oodm", tmp_path / "again.oodm"
         loaded = 0
         for bit in range(8 * min(80, len(blob))):
             flipped = bytearray(blob)
@@ -458,15 +576,42 @@ class TestContainerErrorPaths:
             except (FormatError, NonFiniteError):
                 continue
             save_model(again, model)
-            assert again.read_bytes() == bytes(flipped), f"bit {bit}"
+            if getattr(model, "complement", None) is None:
+                assert again.read_bytes() == _as_version_2(flipped), f"bit {bit}"
+            else:
+                back = load_model(again)
+                assert back.complement.tobytes() == model.complement.tobytes()
             loaded += 1
         assert loaded > 0
 
-    @pytest.mark.parametrize("offset,fmt,value,message", [
-        (0, "<4s", b"OODX", "bad magic"),
-        (4, "<B", 2, "unsupported version 2"),
+    @pytest.mark.parametrize("name", ["pca", "corp-residual", "kgau", "kcos",
+                                      "corp-wide", "kcos-leading"])
+    def test_every_bit_flip_rejected(self, tmp_path, name):
+        p, blob = self._saved(tmp_path, name)
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            p.write_bytes(bytes(flipped))
+            with pytest.raises(FormatError):
+                load_model(p)
+
+    def test_method_byte_flip_rejected(self, tmp_path):
+        # Bit 0 of byte 5 turns pca's method byte into cop's; every header
+        # rule holds for the result, so only the checksum can reject it.
+        p, blob = self._saved(tmp_path, "pca")
+        blob = bytearray(blob)
+        blob[5] ^= 1
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="checksum mismatch"):
+            load_model(p)
+
+    # Feature files stay at version 1; model files are at version 2.
+    @pytest.mark.parametrize("kind,offset,fmt,value,message", [
+        ("model", 0, "<4s", b"OODX", "bad magic"),
+        ("model", 4, "<B", 3, "unsupported version 3"),
+        ("features", 0, "<4s", b"OODX", "bad magic"),
+        ("features", 4, "<B", 2, "unsupported version 2"),
     ])
-    @pytest.mark.parametrize("kind", ["model", "features"])
     def test_bad_magic_or_version(self, tmp_path, kind, offset, fmt, value, message):
         p, blob = (self._saved(tmp_path, "pca") if kind == "model"
                    else self._features(tmp_path))
@@ -502,7 +647,7 @@ class TestContainerErrorPaths:
         p, blob = self._saved(tmp_path, "pca")
         blob = bytearray(blob)
         struct.pack_into("<d", blob, 27, bad)
-        p.write_bytes(bytes(blob))
+        p.write_bytes(_resealed(blob))
         with pytest.raises(NonFiniteError, match="model payload contains NaN or Inf"):
             load_model(p)
 

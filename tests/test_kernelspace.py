@@ -142,8 +142,26 @@ class TestFit:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(25, 4))
         model = fit_kernelspace(x, "gaussian", gamma=0.5, evr_target=0.7)
-        a = model.residual_vectors
-        assert np.max(np.abs(a.T @ a - np.eye(model.l))) <= 1e-9
+        # Here 2q < l, so the model holds the q = N - l leading vectors.
+        assert model.residual_vectors is None
+        v = model.leading_vectors
+        assert np.max(np.abs(v.T @ v - np.eye(25 - model.l))) <= 1e-9
+
+    @pytest.mark.parametrize("kernel, gamma, evr", [
+        ("cosine", None, 0.5), ("cosine", None, 0.99),
+        ("gaussian", 0.5, 0.7), ("gaussian", 4.0, 0.95), ("gaussian", 4.0, 0.5),
+    ])
+    def test_holds_the_narrower_basis(self, kernel, gamma, evr):
+        x = np.random.default_rng(8).normal(size=(40, 5))
+        model = fit_kernelspace(x, kernel, gamma=gamma, evr_target=evr)
+        n, l = 40, model.l
+        eig = sym_eig(gram(kernel, gamma, x))
+        if 2 * (n - l) < l:
+            assert model.residual_vectors is None
+            assert np.array_equal(model.leading_vectors, eig.eigenvectors[:, : n - l])
+        else:
+            assert model.leading_vectors is None
+            assert np.array_equal(model.residual_vectors, eig.eigenvectors[:, n - l :])
 
 
 class TestScore:
@@ -185,6 +203,42 @@ class TestScore:
         model = fit_kernelspace(THREE_POINTS, "cosine", evr_target=0.8)
         with pytest.raises(DimMismatchError):
             score_kernelspace(model, [[1.0, 2.0, 3.0]])
+
+
+class TestLeadingVectors:
+    """||A^T k|| through the trailing vectors equals ||k - V V^T k|| through
+    the leading ones: [V A] is an orthonormal eigenbasis."""
+
+    @pytest.mark.parametrize("kernel, gamma, n, d", [
+        ("cosine", None, 60, 6), ("gaussian", 2.0, 200, 16), ("gaussian", 0.3, 120, 8),
+    ])
+    def test_same_scores_through_either_basis(self, kernel, gamma, n, d):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(n, d))
+        model = fit_kernelspace(x, kernel, gamma=gamma, evr_target=0.9)
+        eig = sym_eig(gram(kernel, gamma, x))
+        l = model.l
+        v = np.ascontiguousarray(eig.eigenvectors[:, : n - l])
+        a = np.ascontiguousarray(eig.eigenvectors[:, n - l :])
+        q = rng.normal(size=(300, d))
+        through_a = score_kernelspace(
+            kernelspace.KernelSpaceModel(kernel, model.gamma, model.train, a, l, 0.9), q
+        )
+        through_v = score_kernelspace(
+            kernelspace.KernelSpaceModel(kernel, model.gamma, model.train, None, l, 0.9,
+                                         leading_vectors=v), q
+        )
+        rel = np.max(np.abs(through_a - through_v) / np.abs(through_a))
+        assert rel <= 1e-12, rel
+
+    def test_query_rows_unchanged(self):
+        rng = np.random.default_rng(10)
+        model = fit_kernelspace(rng.normal(size=(30, 4)), "cosine", evr_target=0.8)
+        assert model.leading_vectors is not None
+        q = rng.normal(size=(5, 4))
+        before = q.tobytes()
+        score_kernelspace(model, q)
+        assert q.tobytes() == before
 
 
 class TestSpectralCorrespondence:
