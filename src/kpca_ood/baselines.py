@@ -77,7 +77,7 @@ def as_logits_matrix(data) -> np.ndarray:
 
 def msp_score(logits) -> np.ndarray:
     """Maximum softmax probability per row, max-shifted for stability."""
-    x = as_feature_matrix(logits, "logits")
+    x = as_logits_matrix(logits)
     shifted = x - x.max(axis=1, keepdims=True)
     return 1.0 / np.sum(np.exp(shifted), axis=1)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio
 from .baselines import build_knn, fuse, knn_score, reg_pca_error
-from .detector import fit as fit_detector, score_reconstruction
+from .detector import DEFAULT_EVR, fit as fit_detector, score_reconstruction
 from .errors import (
     DataError,
     IndexMismatchError,
@@ -44,7 +44,7 @@ from .kernelspace import (
     fit_kernelspace,
     score_kernelspace,
 )
-from .metrics import bench_scorers, evaluate
+from .metrics import DEFAULT_TPR, bench_scorers, evaluate
 from .rng import make_prng
 from .synth import KINDS, SynthSpec, generate
 
@@ -377,7 +377,7 @@ def build_parser() -> _Parser:
     seeded.add_argument("--seed", type=int, default=0)
     fitting = argparse.ArgumentParser(add_help=False)
     fitting.add_argument("--train", required=True)
-    fitting.add_argument("--evr", type=float, default=0.90)
+    fitting.add_argument("--evr", type=float, default=DEFAULT_EVR)
     fitting.add_argument("--gamma", type=float)
     fitting.add_argument("--rff-dim", type=int)
 
@@ -409,7 +409,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="detection metrics from score CSVs")
     p.add_argument("--ind", required=True)
     p.add_argument("--ood", required=True, nargs="+")
-    p.add_argument("--tpr", type=float, default=0.95)
+    p.add_argument("--tpr", type=float, default=DEFAULT_TPR)
     p.add_argument("--json-lines", action="store_true")
     p.set_defaults(func=cmd_eval)
 
@@ -429,7 +429,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ind", required=True)
     p.add_argument("--ood", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--tpr", type=float, default=0.95)
+    p.add_argument("--tpr", type=float, default=DEFAULT_TPR)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", parents=[fitting, seeded],

@@ -16,16 +16,16 @@ S += S_b + delta delta^T * n * m / (n + m) and mu += delta * m / (n + m).
 Every term is a sum of squares about a mean, so centering stays stable;
 the naive sum(phi phi^T) - N mu mu^T would cancel catastrophically.
 
-The error is computed in one of two orientations, whichever needs the
-narrower GEMM. With q <= D - q it projects onto the retained basis U and
-back. With q > D - q it uses ||(I - U U^T) c|| = ||R^T c||, where R is an
-orthonormal basis of the orthogonal complement of U: the ``complement``
-field. A fit derives R from U (a complete QR plus one reorthogonalization
-pass); a model file holds only the basis its orientation reads, so a model
-loaded from R has no U (``basis`` is None) and loading makes no QR. The
-mean is folded into R once per model: ||R^T c|| = ||R^T phi - R^T mu||, so
-the R orientation never forms the centered rows. A fitted model and its
-reloaded copy hold the same R and mean bytes, so they score bit for bit
+The error comes from ``linalg._residual_norms``, the residual routine the
+Gram path shares, in whichever orientation needs the narrower GEMM: with
+q <= D - q as ||c - U U^T c|| through the retained basis U, otherwise as
+||(I - U U^T) c|| = ||R^T c|| through R, an orthonormal basis of U's
+complement (the ``complement`` field). A fit derives R from U (a complete
+QR plus one reorthogonalization pass); a model file holds only the basis
+its orientation reads, so a model loaded from R has no U (``basis`` is
+None) and loading makes no QR. The mean is folded into R once per model,
+||R^T c|| = ||R^T phi - R^T mu||, so the R orientation never forms the
+centered rows, and a fitted model and its reloaded copy score bit for bit
 alike.
 
 The trailing eigenvectors can optionally be retained (``residual_basis``,
@@ -41,6 +41,7 @@ in the tests depends on this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .errors import (
     MissingResidualBasisError,
 )
 from .featmap import FeatureMapSpec, map_apply
-from .linalg import _row_blocks, _row_norms, sym_eig
+from .linalg import _residual_norms, _row_blocks, sym_eig
 
 # Total variance below this means every mapped row is identical.
 DEGENERATE_VARIANCE = 1e-20
@@ -209,37 +210,14 @@ def fit(
     )
 
 
-def _residual_norms(
-    model: DetectorModel, x, proj: np.ndarray, offset=None
-) -> np.ndarray:
-    """Per-row norm of the part of the centered mapped row outside U.
-
-    With ``offset`` None, ``proj`` is the retained basis U, giving
-    ||U U^T c - c|| for c = phi - mu. Otherwise ``proj`` is an orthonormal
-    basis P of (part of) U's complement and ``offset`` is P^T mu, giving
-    ||P^T phi - P^T mu|| = ||P^T c|| without forming c.
-    """
-
-    def block(rows):
-        phi = map_apply(model.map_spec, rows)
-        if offset is None:
-            # Not in place: with the identity map, map_apply returns rows itself.
-            centered = phi - model.mean
-            projected = (centered @ proj) @ proj.T
-            projected -= centered
-        else:
-            projected = phi @ proj
-            projected -= offset
-        return _row_norms(projected)
-
-    return _row_blocks(block, x, proj.shape[0])
-
-
 def reconstruction_errors(model: DetectorModel, x) -> np.ndarray:
     """Per-row distance between the mapped row and its projection."""
+    mapped = partial(map_apply, model.map_spec)
     if model.complement is None:
-        return _residual_norms(model, x, model.basis)
-    return _residual_norms(model, x, model.complement, model.complement_mean)
+        # Not in place: with the identity map, map_apply returns rows itself.
+        centered = lambda rows: mapped(rows) - model.mean  # noqa: E731
+        return _residual_norms(centered, x, model.basis, True)
+    return _residual_norms(mapped, x, model.complement, False, model.complement_mean)
 
 
 def score_reconstruction(model: DetectorModel, x) -> np.ndarray:
@@ -254,9 +232,8 @@ def score_residual(model: DetectorModel, x) -> np.ndarray:
     independent formulation for cross-checks and as the bridge to the
     Gram-matrix scoring path.
     """
-    if model.residual_basis is None:
-        raise MissingResidualBasisError(
-            "model was fitted without store_residual=True"
-        )
     a = model.residual_basis
-    return -_residual_norms(model, x, a, model.mean @ a)
+    if a is None:
+        raise MissingResidualBasisError("model was fitted without store_residual=True")
+    features = partial(map_apply, model.map_spec)
+    return -_residual_norms(features, x, a, False, model.mean @ a)

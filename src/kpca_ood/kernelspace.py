@@ -3,11 +3,11 @@
 Instead of mapping features explicitly, this path eigendecomposes the
 uncentered N x N kernel matrix on training data and scores a query by the
 norm of its kernel vector projected onto the l trailing eigenvectors A
-(the ones with the smallest eigenvalues). Lower projection norm reads as
-more in-distribution, so scores are negated norms. [V A], with V the
-q = N - l leading eigenvectors, is an orthonormal eigenbasis, so
-||A^T k|| = ||k - V V^T k||: a fit keeps V when 2q < l and A otherwise,
-and the scorer reads whichever the model holds.
+(the ones with the smallest eigenvalues), negated, so a lower norm reads as
+more in-distribution. [V A], with V the q = N - l leading eigenvectors, is
+an orthonormal eigenbasis, so ||A^T k|| = ||k - V V^T k||: a fit keeps V
+when 2q < l and A otherwise, and the scorer reads whichever the model holds
+through ``linalg._residual_norms``, the residual routine of both paths.
 
 Both supported kernels operate on unit-normalized rows: "cosine" is the
 plain inner product after normalization, "gaussian" applies
@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import choose_q
+from .detector import DEFAULT_EVR, choose_q
 from .errors import InvalidBandwidthError, InvalidSpecError
 from .featmap import normalize_rows
-from .linalg import _row_blocks, _row_norms, sym_eig
+from .linalg import _residual_norms, sym_eig
 
 COSINE_KERNEL = "cosine"
 GAUSSIAN_KERNEL = "gaussian"
@@ -98,7 +98,7 @@ def gram(kernel_kind: str, gamma: float | None, x) -> np.ndarray:
 
 
 def fit_kernelspace(
-    x, kernel_kind: str, gamma: float | None = None, evr_target: float = 0.90
+    x, kernel_kind: str, gamma: float | None = None, evr_target: float = DEFAULT_EVR
 ) -> KernelSpaceModel:
     """Eigendecompose the training Gram matrix and keep the narrower basis.
 
@@ -153,14 +153,11 @@ def score_kernelspace(model: KernelSpaceModel, x) -> np.ndarray:
     size.
     """
     train = model.train
-    a, v = model.residual_vectors, model.leading_vectors
 
-    def block(rows):
+    def kernel_rows(rows):
         xn = normalize_rows(rows, dim=train.shape[1])
-        kq = _kernel(model.kernel_kind, model.gamma, xn @ train.T)
-        if a is not None:
-            return _row_norms(kq @ a)
-        kq -= (kq @ v) @ v.T
-        return _row_norms(kq)
+        return _kernel(model.kernel_kind, model.gamma, xn @ train.T)
 
-    return -_row_blocks(block, x, train.shape[0])
+    if model.residual_vectors is None:
+        return -_residual_norms(kernel_rows, x, model.leading_vectors, True)
+    return -_residual_norms(kernel_rows, x, model.residual_vectors, False)

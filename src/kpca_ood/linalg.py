@@ -21,7 +21,9 @@ their sums differently.
 the batch paths (fit, the covariance and Gram scorers, knn) hold
 temporaries of block x width rather than N x width. Each of them calls the
 gate on every block, not on its whole input, so a float32 input is upcast
-to float64 one block at a time.
+to float64 one block at a time. ``_residual_norms`` is the one residual
+routine on them: every eigenbasis scorer (covariance U, R and residual
+basis; Gram V and A) takes its per-row error from it.
 """
 
 from __future__ import annotations
@@ -113,6 +115,27 @@ def _row_blocks(fn, x, width: int, fold=None):
         else:
             acc = part if acc is None else fold(acc, part)
     return acc if fold is not None else np.concatenate(parts)
+
+
+def _residual_norms(features, x, basis: np.ndarray, kept: bool, offset=None):
+    """Per-row norm of the part of each feature row y outside a subspace.
+
+    ``features`` maps a row block of ``x`` to y, an array it made. With
+    ``kept``, ``basis`` V spans the subspace: ||y - V V^T y||, in place on y.
+    Otherwise ``basis`` P spans (part of) its complement: ||P^T y - offset||.
+    """
+
+    def block(rows):
+        y = features(rows)
+        if kept:
+            y -= (y @ basis) @ basis.T
+        else:
+            y = y @ basis
+            if offset is not None:
+                y -= offset
+        return _row_norms(y)
+
+    return _row_blocks(block, x, basis.shape[0])
 
 
 @dataclass(eq=False)

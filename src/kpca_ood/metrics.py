@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import EmptyScoresError, NonFiniteError
 
+DEFAULT_TPR = 0.95
+
 
 def _check_scores(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64).ravel()
@@ -39,7 +41,7 @@ def _check_scores(x, name: str) -> np.ndarray:
     return v
 
 
-def fpr_at_tpr(ind_scores, ood_scores, tpr_target: float = 0.95):
+def fpr_at_tpr(ind_scores, ood_scores, tpr_target: float = DEFAULT_TPR):
     """False-positive rate at the threshold admitting tpr_target of InD.
 
     Returns (fpr, threshold). The threshold is the largest score s such
@@ -90,7 +92,7 @@ class EvalReport:
     n_ind: int
     n_ood: int
     threshold_at_95tpr: float
-    tpr_target: float = 0.95
+    tpr_target: float = DEFAULT_TPR
 
     def to_records(self) -> list[dict]:
         return [
@@ -113,7 +115,7 @@ class EvalReport:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def evaluate(ind_scores, ood_scores, tpr_target: float = 0.95) -> EvalReport:
+def evaluate(ind_scores, ood_scores, tpr_target: float = DEFAULT_TPR) -> EvalReport:
     # fpr_at_tpr checks both score sets before it reads tpr_target.
     fpr, thr = fpr_at_tpr(ind_scores, ood_scores, tpr_target)
     return EvalReport(

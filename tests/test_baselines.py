@@ -102,6 +102,11 @@ class TestMsp:
         c = 1.5
         assert np.array_equal(msp_score(logits), msp_score(logits + c))
 
+    def test_single_class_rejected(self):
+        # One logit per row would make every MSP exactly 1.
+        with pytest.raises(DimMismatchError, match=r"logits need >= 2 classes, got 1"):
+            msp_score([[1.0], [2.0]])
+
 
 class TestEnergy:
     def test_two_zeros(self):

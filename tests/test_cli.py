@@ -150,6 +150,17 @@ class TestFitScore:
                  "--out", tmp_path / "m.oodm")
         assert rc == 3
 
+    def test_one_training_row_invalid_value(self, tmp_path, capsys):
+        train = tmp_path / "t.oodf"
+        fileio.save_features(train, np.array([[1.0, 2.0, 3.0]]))
+        rc = run("fit", "--train", train, "--method", "pca",
+                 "--out", tmp_path / "m.oodm")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "invalid value: need at least 2 training rows, got 1\n"
+        )
+        assert not (tmp_path / "m.oodm").exists()
+
 
 class TestEvalFuse:
     def _write_scores(self, path, vals, start=0):
@@ -244,6 +255,17 @@ class TestEvalFuse:
         _, fused = fileio.load_scores(out)
         assert np.allclose(fused, [1.0, 0.0])  # min-max to [0,1]
 
+    def test_fuse_normalize_constant_errors_numerical_failure(self, tmp_path, capsys):
+        e, b, out = tmp_path / "e.csv", tmp_path / "b.csv", tmp_path / "f.csv"
+        self._write_scores(e, np.array([3.0, 3.0]))
+        self._write_scores(b, np.array([1.0, 2.0]))
+        assert run("fuse", "--errors", e, "--base", b, "--out", out,
+                   "--normalize-errors") == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: cannot min-max normalize a constant error set\n"
+        )
+        assert not out.exists()
+
     def test_fuse_errors_extra_widen_the_range(self, tmp_path):
         e, x, b, out = (tmp_path / f"{n}.csv" for n in ("e", "x", "b", "f"))
         self._write_scores(e, np.array([2.0, 4.0]))
@@ -282,6 +304,19 @@ class TestSweepBench:
             "warning: explained-variance target 0.999999 keeps every Gram "
             "eigenvector (N=4, q=4); clamping the residual dimension to 1\n"
         )
+
+    def test_sweep_every_point_fails(self, tmp_path, capsys):
+        x = tmp_path / "same.oodf"
+        fileio.save_features(x, np.ones((10, 3)))
+        rc = run("sweep", "--train", x, "--ind", x, "--ood", x,
+                 "--method", "pca", "--param", "evr", "--values", "0.5,0.9")
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err == "".join(
+            f"value {v} failed: total mapped variance is numerically zero "
+            "(identical rows?)\n" for v in ("0.5", "0.9")
+        )
+        assert captured.out.split() == ["value", "fpr95", "auroc", "seconds"]
 
     def test_sweep_empty_values_usage(self, synth_files, tmp_path):
         ind, ood = synth_files

@@ -1,6 +1,7 @@
-"""Property test: save -> load -> save of a model file is byte-identical,
-and the reloaded model scores bit for bit like the fitted one, over random
-shapes for all six methods."""
+"""Property tests over random shapes for all six methods: save -> load ->
+save of a model file is byte-identical and the reloaded model scores bit
+for bit like the fitted one; a query row's score does not depend on the
+order of the rows or on how they are split into calls."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kpca_ood.detector import fit, score_reconstruction  # noqa: E402
+from kpca_ood.detector import fit, score_reconstruction, score_residual  # noqa: E402
 from kpca_ood.featmap import cosine_rff_spec, cosine_spec, identity_spec, rff_build  # noqa: E402
 from kpca_ood.fileio import METHODS, load_model, method_for_model, save_model  # noqa: E402
 from kpca_ood.kernelspace import fit_kernelspace, score_kernelspace  # noqa: E402
@@ -30,8 +31,7 @@ def _fit(method, x, evr, m, store_residual, seed):
     return fit(x, spec, evr_target=evr, store_residual=store_residual)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
+_SHAPES = dict(
     method=st.sampled_from(list(METHODS)),
     n=st.integers(3, 40),
     d=st.integers(2, 7),
@@ -40,6 +40,18 @@ def _fit(method, x, evr, m, store_residual, seed):
     store_residual=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+def _scorers(method, model):
+    if method in ("kcos", "kgau"):
+        return [score_kernelspace]
+    if model.residual_basis is None:
+        return [score_reconstruction]
+    return [score_reconstruction, score_residual]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_SHAPES)
 def test_save_load_save_byte_identical(tmp_path_factory, method, n, d, m, evr,
                                        store_residual, seed):
     rng = np.random.default_rng(seed)
@@ -55,3 +67,24 @@ def test_save_load_save_byte_identical(tmp_path_factory, method, n, d, m, evr,
     score = score_kernelspace if method in ("kcos", "kgau") else score_reconstruction
     queries = rng.normal(size=(5, d))
     assert np.array_equal(score(back, queries), score(model, queries))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_SHAPES, n_queries=st.integers(2, 40), split=st.integers(1, 39))
+def test_scores_follow_query_rows(method, n, d, m, evr, store_residual, seed,
+                                  n_queries, split):
+    # An absolute floor for small scores: GEMM edge tiles move the last bits
+    # between row counts, and near-subspace rows make a relative gate fail
+    # between equally accurate results.
+    rng = np.random.default_rng(seed)
+    model = _fit(method, rng.normal(size=(n, d)), evr, m, store_residual, seed)
+    queries = rng.normal(size=(n_queries, d))
+    perm = rng.permutation(n_queries)
+    k = min(split, n_queries - 1)
+    for score in _scorers(method, model):
+        whole = score(model, queries)
+        tol = 1e-12 * np.maximum(1.0, np.abs(whole))
+        permuted = score(model, queries[perm])
+        assert np.all(np.abs(permuted - whole[perm]) <= tol[perm])
+        parts = np.concatenate([score(model, queries[:k]), score(model, queries[k:])])
+        assert np.all(np.abs(parts - whole) <= tol)
