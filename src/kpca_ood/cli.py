@@ -154,18 +154,30 @@ def _rff_dim(rff_dim, dim: int) -> int:
     return 4 * dim if rff_dim is None else int(rff_dim)
 
 
+def _default_gamma(flags, methods, train):
+    """``flags`` with an absent --gamma filled in, when one of ``methods``
+    has a Gaussian or Laplacian kernel; otherwise ``flags`` itself.
+
+    The default is the median heuristic on the cosine-normalized training
+    rows (the input the kernel actually sees). A command computes it at
+    most once and passes it into every fit.
+    """
+    if flags.gamma is not None or all(
+        m == "knn" or METHODS[m][1] in (None, COSINE_KERNEL) for m in methods
+    ):
+        return flags
+    gamma = median_heuristic_gamma(normalize_rows(train))
+    print(f"gamma defaulted by median heuristic: {gamma:.6g}")
+    return argparse.Namespace(**{**vars(flags), "gamma": gamma})
+
+
 def _fit_model(method, train, flags, store_residual=False):
     """Fit ``method`` as its METHODS row says, with the gated --evr, --gamma,
-    --rff-dim and --seed of ``flags``; gamma and rff_dim may be None.
-
-    An absent gamma is the median heuristic on the cosine-normalized
-    training rows (the input the kernel actually sees).
+    --rff-dim and --seed of ``flags``; rff_dim may be None, and gamma is
+    None only for a method without a bandwidth (see ``_default_gamma``).
     """
     stage, kernel = METHODS[method]
     gamma = flags.gamma
-    if kernel not in (None, COSINE_KERNEL) and gamma is None:
-        gamma = median_heuristic_gamma(normalize_rows(train))
-        print(f"gamma defaulted by median heuristic: {gamma:.6g}")
     if stage == GRAM:
         # A degenerate fit warns; show it as one stderr line with its numbers.
         with warnings.catch_warnings(record=True) as caught:
@@ -212,6 +224,7 @@ def cmd_synth(args) -> int:
 def cmd_fit(args) -> int:
     train = fileio.load_features(args.train)
     t0 = time.perf_counter()
+    args = _default_gamma(args, [args.method], train)
     model = _fit_model(args.method, train, args, args.store_residual)
     elapsed = time.perf_counter() - t0
     fileio.save_model(args.out, model)
@@ -314,6 +327,8 @@ def cmd_sweep(args) -> int:
     ind = fileio.load_features(args.ind)
     ood = fileio.load_features(args.ood)
 
+    if args.param != "gamma":
+        args = _default_gamma(args, [args.method], train)
     rows, failed = [], 0
     for value, point in _grid(args):
         try:
@@ -338,9 +353,11 @@ def cmd_bench(args) -> int:
     train = fileio.load_features(args.train)
     queries = train[make_prng(args.seed).integers(0, train.shape[0], size=args.queries)]
 
+    methods = _bench_methods(args)
+    args = _default_gamma(args, methods, train)
     scorers, store_bytes = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for m in _bench_methods(args):
+        for m in methods:
             if m == "knn":
                 scorer = build_knn(train, k=args.knn_k)
                 store = os.path.join(tmp, "knn.oodf")

@@ -326,6 +326,16 @@ def median_heuristic_gamma(x) -> float:
     so the estimate is deterministic and cheap on large training sets. The
     squared distances of pairs i < j are built over row blocks of the
     subsample, so no N x N temporary is formed.
+
+    The median is selected on the squared distances. Clipping at 0 and
+    sqrt are monotone, so they commute with order statistics: the one or
+    two middle squared distances, clipped and rooted, then averaged as
+    ``(a + b) / 2.0`` (the formula ``np.median`` uses), give the bits
+    ``np.median`` gives on all the distances. ``np.median`` is not used
+    because it partitions at two or three positions, and it would need
+    every value clipped and rooted first; one ``partition`` at the upper
+    middle position and a ``max`` below it select the same values in a
+    fraction of the time.
     """
     x = as_feature_matrix(x)
     n = x.shape[0]
@@ -341,13 +351,25 @@ def median_heuristic_gamma(x) -> float:
     for a in range(0, n - 1, rows):
         b = min(a + rows, n - 1)
         # Rows a..b-1 against columns a+1..n-1; pair (i, j) sits at (i-a, j-a-1).
-        d2 = sq[a:b, None] + sq[None, a + 1 :] - 2.0 * (x[a:b] @ x[a + 1 :].T)
-        upper = d2[np.triu(np.ones(d2.shape, dtype=bool))]
-        dist[done : done + upper.size] = upper
-        done += upper.size
-    np.clip(dist, 0.0, None, out=dist)
-    np.sqrt(dist, out=dist)
-    med = float(np.median(dist, overwrite_input=True))
+        # Doubling is exact, so d2 has the bits of sq_i + sq_j - 2.0 * dots.
+        dots = x[a:b] @ x[a + 1 :].T
+        dots *= 2.0
+        d2 = sq[a:b, None] + sq[None, a + 1 :]
+        d2 -= dots
+        del dots
+        for r in range(b - a):
+            width = d2.shape[1] - r
+            dist[done : done + width] = d2[r, r:]
+            done += width
+        del d2  # freed before the next block is allocated
+    k = dist.size // 2
+    dist.partition(k)
+    # np.median's middle pair, the same value twice for an odd count.
+    lo = dist[k] if dist.size % 2 else dist[:k].max()
+    lo, hi = np.sqrt(np.clip([lo, dist[k]], 0.0, None))
+    med = float((lo + hi) / 2.0)
+    if np.isnan(dist[k:].max()):  # the partition sorts every nan into dist[k:]
+        med = np.nan  # as np.median gives when any distance is nan
     if med < ZERO_NORM_FLOOR:
         raise InvalidBandwidthError(
             "median pairwise distance is zero; cannot derive a bandwidth"

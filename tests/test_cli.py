@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import kpca_ood
-from kpca_ood import fileio, linalg
+from kpca_ood import cli, fileio, linalg
 from kpca_ood.baselines import reg_pca_error
 from kpca_ood.cli import build_parser, main
 from kpca_ood.detector import score_reconstruction
 from kpca_ood.errors import IndexMismatchError
+from kpca_ood.featmap import median_heuristic_gamma, normalize_rows
 from kpca_ood.kernelspace import KernelSpaceModel, score_kernelspace
 
 
@@ -359,6 +360,66 @@ class TestSweepBench:
         ind, _ = synth_files
         rc = run("bench", "--train", ind, "--queries", 4, "--methods", "zap")
         assert rc == 1
+
+
+class TestDefaultGamma:
+    """An absent --gamma is the median heuristic on the cosine-normalized
+    training rows, computed at most once per command."""
+
+    @pytest.fixture
+    def heuristic_calls(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return median_heuristic_gamma(x)
+
+        monkeypatch.setattr(cli, "median_heuristic_gamma", counted)
+        return calls
+
+    @staticmethod
+    def _gamma(path):
+        return median_heuristic_gamma(normalize_rows(fileio.load_features(path)))
+
+    @pytest.mark.parametrize("argv,calls", [
+        (("sweep", "--param", "evr", "--values", "0.5,0.6,0.7,0.8,0.9,0.95",
+          "--method", "corp"), 1),
+        (("sweep", "--param", "gamma", "--values", "0.5,1", "--method", "kgau"), 0),
+        (("bench", "--methods", "corp,colp,kgau"), 1),
+        (("bench", "--methods", "kcos,pca,cop,knn"), 0),
+    ], ids=["sweep-evr", "sweep-gamma", "bench-kernels", "bench-no-bandwidth"])
+    def test_sweep_and_bench_compute_it_at_most_once(self, synth_files, capsys,
+                                                     heuristic_calls, argv, calls):
+        ind, ood = synth_files
+        files = (("--ind", ind, "--ood", ood) if argv[0] == "sweep"
+                 else ("--queries", 4, "--warmup", 1, "--reps", 1))
+        assert run(*argv, "--train", ind, *files) == 0
+        assert heuristic_calls == [(200, 8)] * calls
+        lines = capsys.readouterr().out.splitlines()
+        defaulted = [l for l in lines if l.startswith("gamma defaulted")]
+        assert defaulted == [f"gamma defaulted by median heuristic: "
+                             f"{self._gamma(ind):.6g}"] * calls
+
+    def test_sweep_table_equals_sweep_given_that_gamma(self, synth_files, capsys):
+        ind, ood = synth_files
+        argv = ("sweep", "--param", "evr", "--values", "0.5,0.9,0.99", "--train", ind,
+                "--ind", ind, "--ood", ood, "--method", "corp", "--seed", 3)
+        assert run(*argv) == 0
+        default = capsys.readouterr().out.splitlines()
+        assert run(*argv, "--gamma", repr(self._gamma(ind))) == 0
+        given = capsys.readouterr().out.splitlines()
+        # value, fpr95 and auroc; the seconds column is a timing
+        assert [l.split()[:3] for l in default[1:]] == [l.split()[:3] for l in given]
+
+    @pytest.mark.parametrize("method", ["corp", "colp", "kgau"])
+    def test_fit_writes_the_bytes_of_a_fit_given_that_gamma(self, synth_files,
+                                                            tmp_path, method):
+        ind, _ = synth_files
+        default, given = tmp_path / "default.oodm", tmp_path / "given.oodm"
+        assert run("fit", "--train", ind, "--method", method, "--out", default) == 0
+        assert run("fit", "--train", ind, "--method", method,
+                   "--gamma", repr(self._gamma(ind)), "--out", given) == 0
+        assert default.read_bytes() == given.read_bytes()
 
 
 class TestModelRoundTripThroughCli:

@@ -245,6 +245,78 @@ class TestMedianHeuristic:
         x = rng.normal(size=(5000, 4))
         assert median_heuristic_gamma(x) == median_heuristic_gamma(x)
 
+    @pytest.mark.parametrize("sizes", ["small", "past-subsample"])
+    def test_bits_match_masked_np_median_reference(self, sizes):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        limit = featmap.MEDIAN_HEURISTIC_ROWS
+        # Row counts 2..40 give odd and even pair counts; past the limit the
+        # strided subsample is taken.
+        n_rows, examples = {
+            "small": (st.integers(2, 40), 80),
+            "past-subsample": (st.integers(limit + 1, limit + 3), 6),
+        }[sizes]
+
+        @hypothesis.settings(max_examples=examples, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(n=n_rows, d=st.integers(1, 6),
+                          kind=st.sampled_from(["plain", "ties", "more ties",
+                                                "zero median"]),
+                          seed=st.integers(0, 2**32 - 1))
+        def check(n, d, kind, seed):
+            x = np.random.default_rng(seed).normal(size=(n, d))
+            if kind in ("ties", "more ties"):  # rounded rows: tied distances
+                x = np.round(x, 1 if kind == "ties" else 0)
+            if kind == "zero median":
+                # Small integers make every distance exact, and c equal rows
+                # put more than half of the pairs at distance zero.
+                x = np.round(4.0 * x)
+                m = min(n, limit)
+                c = next(c for c in range(m + 1) if c * (c - 1) // 2 > m * (m - 1) // 4)
+                x[np.linspace(0, n - 1, m).astype(np.intp)[:c]] = x[0]
+            expected = _gamma_or_error(_median_gamma_reference, x)
+            assert _gamma_or_error(median_heuristic_gamma, x) == expected
+            assert (expected[0] is InvalidBandwidthError) == (kind == "zero median")
+
+        check()
+
+
+def _gamma_or_error(heuristic, x):
+    try:
+        return float, heuristic(x).hex()
+    except InvalidBandwidthError as exc:
+        return InvalidBandwidthError, str(exc)
+
+
+def _median_gamma_reference(x) -> float:
+    """median_heuristic_gamma before its single-kth selection: every pair of
+    a block taken through a triangle mask, clipped and rooted, and np.median."""
+    x = featmap.as_feature_matrix(x)
+    n = x.shape[0]
+    if n > featmap.MEDIAN_HEURISTIC_ROWS:
+        idx = np.linspace(0, n - 1, featmap.MEDIAN_HEURISTIC_ROWS).astype(np.intp)
+        x = x[idx]
+        n = featmap.MEDIAN_HEURISTIC_ROWS
+    if n < 2:
+        raise InvalidBandwidthError("need at least 2 rows for the median heuristic")
+    sq = np.sum(x * x, axis=1)
+    dist = np.empty(n * (n - 1) // 2)
+    rows, done = max(1, featmap._BLOCK_BYTES // (8 * n)), 0
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n - 1)
+        d2 = sq[a:b, None] + sq[None, a + 1 :] - 2.0 * (x[a:b] @ x[a + 1 :].T)
+        upper = d2[np.triu(np.ones(d2.shape, dtype=bool))]
+        dist[done : done + upper.size] = upper
+        done += upper.size
+    np.clip(dist, 0.0, None, out=dist)
+    np.sqrt(dist, out=dist)
+    med = float(np.median(dist, overwrite_input=True))
+    if med < featmap.ZERO_NORM_FLOOR:
+        raise InvalidBandwidthError(
+            "median pairwise distance is zero; cannot derive a bandwidth"
+        )
+    return 1.0 / (2.0 * med * med)
+
 
 _D = 4
 _RFF = rff_build("gaussian", 0.9, 12, _D, seed=4)

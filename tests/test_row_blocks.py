@@ -11,9 +11,11 @@ from kpca_ood.baselines import build_knn, knn_score, reg_pca_error
 from kpca_ood.detector import fit, score_reconstruction, score_residual
 from kpca_ood.errors import DimMismatchError, NonFiniteError, ZeroVectorError
 from kpca_ood.featmap import (
+    MEDIAN_HEURISTIC_ROWS,
     cosine_rff_spec,
     cosine_spec,
     identity_spec,
+    median_heuristic_gamma,
     rff_build,
     row_norms,
 )
@@ -345,3 +347,12 @@ class TestBoundedMemory:
         assert allowed < n_small * 8 * d_in / 2
         assert growth <= allowed, (growth, allowed)
         assert row_norms(large)[1].tolist() == [5, n_small + 7]
+
+    def test_median_heuristic_gamma(self):
+        # The 2000-row subsample's pair distances, plus two row blocks of
+        # them (the dot products and the squared distances) at a time.
+        n = MEDIAN_HEURISTIC_ROWS
+        x = np.random.default_rng(47).normal(size=(3 * n // 2, 32))
+        peak = _traced_peak(lambda: median_heuristic_gamma(x))
+        allowed = 8 * n * (n - 1) // 2 + 2 * linalg._BLOCK_BYTES + self.SLACK
+        assert peak <= allowed, (peak, allowed)
