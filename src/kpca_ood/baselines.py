@@ -2,17 +2,21 @@
 
 KNN scores by the k-th nearest distance among unit-normalized training
 rows (exact brute-force search, linear per-query cost in the training
-size). Queries run in row blocks, and each block is reduced on the
-similarities s = q.t (the largest, or the k-th largest) before the one
-kept value per row becomes a distance sqrt(max(2 - 2s, 0)). The rounded
-fl(2 - 2s) never increases as s grows, so this picks the same value, bit
-for bit, as taking the k-th smallest of all the distances, and never
-forms a distance matrix. MSP takes the maximum softmax probability and
-the energy score the log-sum-exp of a logits row, both computed
-max-shifted so huge logits cannot overflow. The regularized
-reconstruction error divides a plain PCA reconstruction error by the
-query norm, and ``fuse`` combines an error vector with a base score as
-(1 - e) * s.
+size). Queries run in row blocks, and each block meets the stored rows
+one tile at a time: a (block x tile) product of similarities s = q.t,
+reduced at once to a running maximum (k = 1) or a running top k. Only the
+k-th largest similarity per row becomes a distance sqrt(max(2 - 2s, 0)).
+The rounded fl(2 - 2s) never increases as s grows, so this picks the same
+value, bit for bit, as taking the k-th smallest of all the distances. No
+distance matrix is formed, and the one tile alive at a time holds
+max(_KNN_TILE, _BLOCK_BYTES / (8 * block rows)) similarities per block
+row at most, whatever the number of stored rows.
+
+MSP takes the maximum softmax probability and the energy score the
+log-sum-exp of a logits row, both computed max-shifted so huge logits
+cannot overflow. The regularized reconstruction error divides a plain PCA
+reconstruction error by the query norm, and ``fuse`` combines an error
+vector with a base score as (1 - e) * s.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .detector import DetectorModel, reconstruction_errors
 from .errors import (
     DimMismatchError,
@@ -30,6 +35,13 @@ from .errors import (
 )
 from .featmap import IDENTITY_STAGE, _nonzero_row_norms, normalize_rows
 from .linalg import _row_blocks, as_feature_matrix
+
+
+# Stored rows per kNN similarity tile, at least. Every tile width is a
+# multiple of 64, so each stored row of a full tile keeps its place in
+# OpenBLAS's GEMM kernel and its similarities the bits of one whole-train
+# product.
+_KNN_TILE = 2048
 
 
 @dataclass(eq=False)
@@ -55,15 +67,27 @@ def knn_score(scorer: KnnScorer, x) -> np.ndarray:
     if k > train.shape[0]:
         raise KTooLargeError(f"k={k} exceeds {train.shape[0]} stored rows")
 
-    def block(rows):
-        sims = normalize_rows(rows, dim=train.shape[1]) @ train.T
+    def top_k(sims):
+        """The k largest similarities of each row; for k = 1, the largest."""
         if k == 1:
             return sims.max(axis=1)
-        # A copy: a view would keep the block's whole partition alive.
-        return np.partition(sims, -k, axis=1)[:, -k].copy()
+        if sims.shape[1] > k:
+            sims.partition(-k, axis=1)
+        # A copy: a view would keep the whole tile alive.
+        return sims[:, -k:].copy()
+
+    def block(rows):
+        q = normalize_rows(rows, dim=train.shape[1])
+        width = max(_KNN_TILE, linalg._BLOCK_BYTES // (8 * q.shape[0]) // 64 * 64)
+        best = None
+        for start in range(0, train.shape[0], width):
+            # Each tile is freed when top_k returns, before the next is made.
+            top = top_k(q @ train[start : start + width].T)
+            best = top if best is None else top_k(np.column_stack([best, top]))
+        return best if k == 1 else best.min(axis=1)
 
     # unit rows on both sides: ||a-b||^2 = 2 - 2 a.b
-    kth = np.clip(2.0 - 2.0 * _row_blocks(block, x, train.shape[0]), 0.0, None)
+    kth = np.clip(2.0 - 2.0 * _row_blocks(block, x, _KNN_TILE), 0.0, None)
     return -np.sqrt(kth)
 
 

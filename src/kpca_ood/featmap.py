@@ -336,6 +336,11 @@ def median_heuristic_gamma(x) -> float:
     every value clipped and rooted first; one ``partition`` at the upper
     middle position and a ``max`` below it select the same values in a
     fraction of the time.
+
+    Raises InvalidBandwidthError for fewer than 2 rows, for squared row
+    norms that overflow, and for a median squared distance no larger than
+    the rounding error of sq_i + sq_j - 2 x_i.x_j, which identical rows
+    leave as a few ulps of the largest squared norm instead of zero.
     """
     x = as_feature_matrix(x)
     n = x.shape[0]
@@ -345,7 +350,15 @@ def median_heuristic_gamma(x) -> float:
         n = MEDIAN_HEURISTIC_ROWS
     if n < 2:
         raise InvalidBandwidthError("need at least 2 rows for the median heuristic")
-    sq = np.sum(x * x, axis=1)
+    with np.errstate(over="ignore"):
+        sq = np.sum(x * x, axis=1)
+        # Every squared distance below is at most 4 * max(sq), so nothing
+        # overflows once this is finite.
+        overflow = not np.isfinite(4.0 * sq.max())
+    if overflow:
+        raise InvalidBandwidthError(
+            "squared row norms overflow; cannot derive a bandwidth"
+        )
     dist = np.empty(n * (n - 1) // 2)
     rows, done = max(1, _BLOCK_BYTES // (8 * n)), 0
     for a in range(0, n - 1, rows):
@@ -366,11 +379,12 @@ def median_heuristic_gamma(x) -> float:
     dist.partition(k)
     # np.median's middle pair, the same value twice for an odd count.
     lo = dist[k] if dist.size % 2 else dist[:k].max()
+    # The worst-case rounding error of sq_i + sq_j - 2 x_i.x_j over d terms;
+    # a median squared distance within it cannot be told from zero.
+    noise = 2.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps * sq.max()
     lo, hi = np.sqrt(np.clip([lo, dist[k]], 0.0, None))
     med = float((lo + hi) / 2.0)
-    if np.isnan(dist[k:].max()):  # the partition sorts every nan into dist[k:]
-        med = np.nan  # as np.median gives when any distance is nan
-    if med < ZERO_NORM_FLOOR:
+    if dist[k] <= noise or med < ZERO_NORM_FLOOR:
         raise InvalidBandwidthError(
             "median pairwise distance is zero; cannot derive a bandwidth"
         )

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,28 @@ class TestMedianHeuristic:
     def test_identical_rows_rejected(self):
         with pytest.raises(InvalidBandwidthError):
             median_heuristic_gamma(np.ones((5, 3)))
+
+    @pytest.mark.parametrize("d", [3, 32])
+    def test_identical_unit_rows_rejected(self, d):
+        # np.sum and the GEMM may round x.x differently, and then the squared
+        # distance of two copies of a row is a few ulps, not zero.
+        rng = np.random.default_rng(d)
+        for _ in range(40):
+            row = normalize_rows(rng.normal(size=(1, d)))
+            with pytest.raises(InvalidBandwidthError, match="distance is zero"):
+                median_heuristic_gamma(np.repeat(row, 50, axis=0))
+
+    @pytest.mark.parametrize("rows", [
+        [[1e200, 0.0], [2e200, 0.0], [1.0, 1.0], [3.0, 1.0]],
+        # Finite squared norms whose sum sq_i + sq_j overflows.
+        [[1e154, 0.0], [-1e154, 0.0], [1.0, 1.0]],
+    ])
+    def test_overflowing_squared_norms_rejected(self, rows):
+        x = np.array(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBandwidthError, match="overflow"):
+                median_heuristic_gamma(x)
 
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(2)

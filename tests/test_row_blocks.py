@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kpca_ood import linalg
+from kpca_ood import baselines, linalg
 from kpca_ood.baselines import build_knn, knn_score, reg_pca_error
 from kpca_ood.detector import fit, score_reconstruction, score_residual
 from kpca_ood.errors import DimMismatchError, NonFiniteError, ZeroVectorError
@@ -16,6 +16,7 @@ from kpca_ood.featmap import (
     cosine_spec,
     identity_spec,
     median_heuristic_gamma,
+    normalize_rows,
     rff_build,
     row_norms,
 )
@@ -238,6 +239,92 @@ class TestBlockInvariance:
         assert whole[1] == ZERO_ROW
 
 
+def _close(got, whole):
+    return bool(np.all(np.abs(got - whole) <= 1e-12 * np.maximum(1.0, np.abs(whole))))
+
+
+class TestBlockSplitProperty:
+    """Any row block split and kNN tile width gives the one-block scores."""
+
+    def test_scores_match_one_block(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rng = np.random.default_rng(48)
+        d = 5
+        model = fit(rng.normal(size=(60, d)), _spec("rff", d), evr_target=0.9)
+        pca = fit(rng.normal(size=(60, d)), _spec("identity", d), evr_target=0.9)
+        gram_model = fit_kernelspace(rng.normal(size=(40, d)), "gaussian",
+                                     gamma=0.8, evr_target=0.8)
+        scorers = {
+            "score_reconstruction": lambda x: score_reconstruction(model, x),
+            "reg_pca_error": lambda x: reg_pca_error(pca, x),
+            "score_kernelspace": lambda x: score_kernelspace(gram_model, x),
+        }
+
+        # n_train = full_tiles * tile + rem puts the stored rows on and just
+        # past tile edges; rem < k leaves a last tile narrower than k.
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(
+            block_bytes=st.integers(0, 4096), min_rows=st.integers(1, 9),
+            tile=st.one_of(st.integers(1, 9), st.sampled_from([64, 128])),
+            full_tiles=st.integers(0, 3),
+            rem=st.one_of(st.just(0), st.integers(1, 6)),
+            k=st.integers(1, 5), n_rows=st.integers(1, 40),
+            ties=st.booleans(), seed=st.integers(0, 2**32 - 1),
+        )
+        @hypothesis.example(block_bytes=0, min_rows=2, tile=3, full_tiles=2,
+                            rem=1, k=5, n_rows=9, ties=False, seed=0)
+        @hypothesis.example(block_bytes=0, min_rows=4, tile=4, full_tiles=3,
+                            rem=0, k=4, n_rows=17, ties=True, seed=1)
+        @hypothesis.example(block_bytes=0, min_rows=7, tile=64, full_tiles=2,
+                            rem=0, k=5, n_rows=40, ties=False, seed=2)
+        def check(block_bytes, min_rows, tile, full_tiles, rem, k, n_rows,
+                  ties, seed):
+            data = np.random.default_rng(seed)
+            queries = data.normal(size=(n_rows, d))
+            n_train = max(k, full_tiles * tile + rem)
+            if ties:
+                # Rows of +-1 in 4 dims have unit rows of +-0.5, so every
+                # similarity is exact, and many are tied.
+                train = data.choice([-1.0, 1.0], size=(n_train, 4))
+                knn_queries = data.choice([-1.0, 1.0], size=(n_rows, 4))
+            else:
+                train = data.normal(size=(n_train, 4))
+                knn_queries = data.normal(size=(n_rows, 4))
+            knn = build_knn(train, k=k)
+            whole = {name: call(queries) for name, call in scorers.items()}
+            whole_knn = knn_score(knn, knn_queries)
+
+            def untiled(rows):
+                sims = normalize_rows(rows) @ knn.train_normalized.T
+                return np.partition(sims, -k, axis=1)[:, -k]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg, "_BLOCK_BYTES", block_bytes)
+                mp.setattr(linalg, "_MIN_BLOCK_ROWS", min_rows)
+                mp.setattr(baselines, "_KNN_TILE", tile)
+                got = {name: call(queries) for name, call in scorers.items()}
+                got_knn = knn_score(knn, knn_queries)
+                # The same row blocks, each against every stored row at once.
+                kth = linalg._row_blocks(untiled, knn_queries, tile)
+            for name in scorers:
+                assert _close(got[name], whole[name]), name
+            assert _close(got_knn, whole_knn)
+            if ties:
+                assert np.array_equal(got_knn, whole_knn)
+            if tile % 64 == 0 and n_train % tile == 0:
+                # Every tile a multiple of 64 wide keeps each stored row's
+                # place in the GEMM kernel. A narrower last tile may take
+                # another OpenBLAS kernel, and a single-row block is a GEMV:
+                # either may round differently, so the reference is the same
+                # row split with every stored row in one product.
+                oracle = -np.sqrt(np.clip(2.0 - 2.0 * kth, 0.0, None))
+                assert np.array_equal(got_knn, oracle)
+
+        check()
+
+
 class TestBlockValidation:
     """Each row block passes the ingestion gate: a bad value in a late block
     raises what a check of the whole input raised."""
@@ -313,6 +400,18 @@ class TestBoundedMemory:
         rng = np.random.default_rng(43)
         scorer = build_knn(rng.normal(size=(5000, self.D_IN)), k=1)
         self._check(lambda x: lambda: knn_score(scorer, x), 1000, 5000)
+
+    def test_knn_score_flat_in_train_rows(self):
+        # Stored rows are read one tile at a time: a similarity matrix of
+        # a 64-row block x N_train would add at least 8 * 64 * n_train bytes.
+        rng = np.random.default_rng(49)
+        queries = rng.normal(size=(1000, self.D_IN))
+        n_train = 20_000
+        small, large = (build_knn(rng.normal(size=(n, self.D_IN)), k=5)
+                        for n in (n_train, 2 * n_train))
+        growth = (_traced_peak(lambda: knn_score(large, queries))
+                  - _traced_peak(lambda: knn_score(small, queries)))
+        assert growth <= self.SLACK, (growth, self.SLACK)
 
     def test_score_kernelspace(self):
         rng = np.random.default_rng(44)
