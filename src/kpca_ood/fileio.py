@@ -3,7 +3,12 @@
 Feature container ("OODF"): magic, version byte 0x01, u32 rows, u32 cols
 (little-endian), then rows*cols IEEE-754 float32 values row-major. Used
 for features and for logits. Storage is 32-bit to match typical feature
-exports; everything computes in 64-bit after load.
+exports; everything computes in 64-bit after load. ``save_features`` holds
+only its float32 payload besides its input, and writes that array itself.
+``load_features`` holds only its float64 result and one float32 row block
+(``linalg._BLOCK_BYTES``): it reads the file one block at a time into a
+reused buffer and passes each converted block of the result through the
+ingestion gate, so the whole file is never in memory as bytes.
 
 Model container ("OODM"), version 2: magic, version byte 0x02, method byte
 (the tag's position in ``METHODS``), then a method-family payload with all
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 import warnings
 import zlib
@@ -64,7 +70,7 @@ from .featmap import (
     RffMap,
 )
 from .kernelspace import COSINE_KERNEL, GAUSSIAN_KERNEL, KernelSpaceModel
-from .linalg import as_feature_matrix
+from .linalg import _block_rows, as_feature_matrix
 
 FEATURE_MAGIC = b"OODF"
 MODEL_MAGIC = b"OODM"
@@ -110,20 +116,32 @@ def save_features(path, x) -> None:
         raise NonFiniteError("values overflow float32 storage")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sBII", FEATURE_MAGIC, FEATURE_VERSION, rows, cols))
-        fh.write(payload.tobytes(order="C"))
+        fh.write(payload)  # C-contiguous, so its buffer is the row-major bytes
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature/logits container back as float64."""
-    r = _Reader(path, FEATURE_MAGIC, (FEATURE_VERSION,))
-    rows, cols = r.unpack("<II")
-    want = 13 + rows * cols * 4
-    if len(r.blob) != want:
-        raise FormatError(f"{path}: expected {want} bytes, found {len(r.blob)}")
-    if rows < 1 or cols < 1:
-        raise FormatError(f"{path}: empty matrix ({rows}x{cols})")
-    data = np.frombuffer(r.blob, dtype="<f4", count=rows * cols, offset=13)
-    return as_feature_matrix(data.reshape(rows, cols), f"{path}: payload")
+    """Read a feature/logits container back as float64, one row block at a time."""
+    with open(path, "rb") as fh:
+        r = _Reader(path, FEATURE_MAGIC, (FEATURE_VERSION,), fh.read(13))
+        rows, cols = r.unpack("<II")
+        want = 13 + rows * cols * 4
+        size = os.fstat(fh.fileno()).st_size
+        if size != want:
+            raise FormatError(f"{path}: expected {want} bytes, found {size}")
+        if rows < 1 or cols < 1:
+            raise FormatError(f"{path}: empty matrix ({rows}x{cols})")
+        out = np.empty((rows, cols))
+        block = min(rows, _block_rows(cols))
+        buf = np.empty((block, cols), "<f4")
+        for start in range(0, rows, block):
+            part = buf[: min(block, rows - start)]
+            if fh.readinto(part) != part.nbytes:
+                raise FormatError(f"{path}: truncated at offset {13 + 4 * start * cols}")
+            dest = out[start : start + part.shape[0]]
+            dest[...] = part
+            # A contiguous float64 slice passes the gate without a copy.
+            as_feature_matrix(dest, f"{path}: payload")
+    return out
 
 
 # ------------------------------------------------------------------ models
@@ -205,15 +223,18 @@ def save_model(path, model) -> None:
 
 
 class _Reader:
-    """A container file's bytes, read past its checked magic and version.
+    """A container file's bytes (or, given ``blob``, its leading bytes), read
+    past its checked magic and version.
 
     A version-2 model file ends in a CRC-32 trailer that ``arrays`` checks
     before it reads any payload value.
     """
 
-    def __init__(self, path, magic: bytes, versions):
-        with open(path, "rb") as fh:
-            self.blob = fh.read()
+    def __init__(self, path, magic: bytes, versions, blob: bytes | None = None):
+        if blob is None:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        self.blob = blob
         self.path = path
         self.pos = 0
         self.end = len(self.blob)

@@ -81,6 +81,11 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+def _block_rows(width: int) -> int:
+    """Rows in a block whose widest float64 temporary has ``width`` columns."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * width))
+
+
 def _row_blocks(fn, x, width: int, fold=None):
     """Apply ``fn`` to consecutive row blocks of ``x`` and combine the results.
 
@@ -97,7 +102,7 @@ def _row_blocks(fn, x, width: int, fold=None):
     # The first test settles small inputs, single rows included, cheaply.
     if x.ndim != 2 or x.shape[0] <= _MIN_BLOCK_ROWS:
         return fn(x)
-    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * width))
+    rows = _block_rows(width)
     if x.shape[0] <= rows:
         return fn(x)
     parts, acc = [], None

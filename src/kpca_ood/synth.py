@@ -15,6 +15,9 @@ Three kinds, each isolating one mechanism:
 
 Generation is pure given the spec: one Philox stream per call, fixed draw
 order (documented per kind below), so equal specs give bit-equal outputs.
+Every scaling, sum and normalization is done in place on a fresh draw, so a
+call holds its two outputs plus about one row block of temporaries
+(``linalg._BLOCK_BYTES``) at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpecError
+from .linalg import _block_rows, _row_blocks, _row_norms
 from .rng import Prng, make_prng
 
 NORM_SHIFT = "norm-shift"
@@ -68,7 +72,9 @@ def _resolved(spec: SynthSpec) -> dict:
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1)[:, None]
+    # In place, with the bits of x / np.linalg.norm(x, axis=1)[:, None].
+    x /= _row_blocks(_row_norms, x, x.shape[1])[:, None]
+    return x
 
 
 def _sphere(prng: Prng, n: int, dim: int) -> np.ndarray:
@@ -79,12 +85,10 @@ def _norm_shift(spec: SynthSpec, prng: Prng, p: dict):
     # draw order: ind directions, ind norms, ood directions, ood norms
     if not p["sigma"] > 0:
         raise InvalidSpecError(f"sigma must be > 0, got {p['sigma']}")
-    ind = _sphere(prng, spec.n, spec.dim) * prng.normal(
-        p["mu_ind"], p["sigma"], size=(spec.n, 1)
-    )
-    ood = _sphere(prng, spec.n, spec.dim) * prng.normal(
-        p["mu_ood"], p["sigma"], size=(spec.n, 1)
-    )
+    ind = _sphere(prng, spec.n, spec.dim)
+    ind *= prng.normal(p["mu_ind"], p["sigma"], size=(spec.n, 1))
+    ood = _sphere(prng, spec.n, spec.dim)
+    ood *= prng.normal(p["mu_ood"], p["sigma"], size=(spec.n, 1))
     return ind, ood
 
 
@@ -100,7 +104,14 @@ def _sphere_cluster(spec: SynthSpec, prng: Prng, p: dict):
     # spread is the expected total perturbation norm, so cluster tightness
     # does not depend on the dimension
     sigma = p["spread"] / np.sqrt(spec.dim)
-    ind = _unit_rows(centers[assign] + sigma * prng.normal(size=(spec.n, spec.dim)))
+    ind = prng.normal(size=(spec.n, spec.dim))
+    ind *= sigma
+    # Centers are gathered one row block at a time. IEEE addition commutes,
+    # so these are the bits of centers[assign] + sigma * noise.
+    rows = _block_rows(spec.dim)
+    for start in range(0, spec.n, rows):
+        ind[start : start + rows] += centers[assign[start : start + rows]]
+    ind = _unit_rows(ind)
     ood = _sphere(prng, spec.n, spec.dim)
     return ind, ood
 
@@ -124,8 +135,11 @@ def _low_rank_gauss(spec: SynthSpec, prng: Prng, p: dict):
         raise InvalidSpecError(f"noise must be >= 0, got {p['noise']}")
     basis = _orthonormal_rows(prng, rank, spec.dim)
     coeff = prng.normal(size=(spec.n, rank))
-    ind = coeff @ basis + p["noise"] * prng.normal(size=(spec.n, spec.dim))
-    ood = p["ood_scale"] * prng.normal(size=(spec.n, spec.dim))
+    ind = prng.normal(size=(spec.n, spec.dim))
+    ind *= p["noise"]
+    ind += coeff @ basis
+    ood = prng.normal(size=(spec.n, spec.dim))
+    ood *= p["ood_scale"]
     return ind, ood
 
 

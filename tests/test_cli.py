@@ -573,6 +573,21 @@ class TestNonFinitePayload:
         assert capsys.readouterr().err == self._message(bad_file)
         assert not out.exists()
 
+    def test_last_block_only(self, tmp_path, monkeypatch, capsys):
+        # 7-row blocks over 30 rows; the NaN and the Inf are both in the
+        # last block (rows 28-29), so four clean blocks are read first.
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", 7)
+        x = np.random.default_rng(4).normal(size=(30, 3)).astype("<f4")
+        x[28, 0], x[29, 2] = np.nan, np.inf
+        bad = tmp_path / "bad.oodf"
+        bad.write_bytes(b"OODF\x01" + (30).to_bytes(4, "little")
+                        + (3).to_bytes(4, "little") + x.tobytes())
+        out = tmp_path / "m.oodm"
+        assert run("fit", "--train", bad, "--method", "pca", "--out", out) == 3
+        assert capsys.readouterr().err == self._message(bad)
+        assert not out.exists()
+
 
 class TestScoreZeroRows:
     ZERO = 1

@@ -3,6 +3,7 @@ import struct
 import tracemalloc
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from kpca_ood.detector import fit, score_reconstruction
 from kpca_ood.errors import FormatError, NonFiniteError
 from kpca_ood.featmap import cosine_rff_spec, cosine_spec, identity_spec, rff_build
-from kpca_ood import fileio
+from kpca_ood import fileio, linalg
 from kpca_ood.fileio import (
     load_features,
     load_model,
@@ -21,6 +22,32 @@ from kpca_ood.fileio import (
     save_scores,
 )
 from kpca_ood.kernelspace import fit_kernelspace, score_kernelspace
+
+MiB = 2**20
+# With these constants load_features reads 4-row blocks.
+SMALL_BLOCK = 4
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 0)
+    monkeypatch.setattr(linalg, "_MIN_BLOCK_ROWS", SMALL_BLOCK)
+
+
+def _feature_file(path, x) -> None:
+    """Write a float32 matrix as a feature file by hand, whatever its values."""
+    x = np.asarray(x, "<f4")
+    path.write_bytes(struct.pack("<4sBII", b"OODF", 1, *x.shape) + x.tobytes())
+
+
+def _traced_peak(call):
+    """call()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFeatureContainer:
@@ -77,6 +104,59 @@ class TestFeatureContainer:
         x[2, 1] = bad
         p = tmp_path / "x.oodf"
         p.write_bytes(struct.pack("<4sBII", b"OODF", 1, 3, 2) + x.tobytes())
+        with pytest.raises(NonFiniteError) as info:
+            load_features(p)
+        assert str(info.value) == f"{p}: payload contains NaN or Inf"
+
+
+class TestStreamedFeatureLoad:
+    """load_features reads its payload one row block at a time; the result
+    and every error are those of a whole-file read."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 8, 11])
+    def test_blocks_give_the_whole_file_bits(self, tmp_path, small_blocks, rows):
+        x = np.random.default_rng(rows).normal(size=(rows, 3)).astype("<f4")
+        x[0, 0] = np.float32(1e-45)  # subnormal
+        p = tmp_path / "x.oodf"
+        _feature_file(p, x)
+        back = load_features(p)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert back.tobytes() == x.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda b: b[:-1], "expected 73 bytes, found 72"),
+        (lambda b: b + b"\0", "expected 73 bytes, found 74"),
+        (lambda b: b"OODX" + b[4:], "bad magic b'OODX'"),
+        (lambda b: b[:4] + b"\x02" + b[5:], "unsupported version 2"),
+        (lambda b: b[:5] + struct.pack("<I", 0) + b[9:13], "empty matrix (0x3)"),
+        (lambda b: b[:9] + struct.pack("<I", 0) + b[13:13], "empty matrix (5x0)"),
+    ], ids=["truncated", "oversized", "magic", "version", "no-rows", "no-cols"])
+    def test_error_messages(self, tmp_path, small_blocks, edit, message):
+        p = tmp_path / "x.oodf"
+        save_features(p, np.arange(15.0).reshape(5, 3))
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(FormatError) as info:
+            load_features(p)
+        assert str(info.value) == f"{p}: {message}"
+
+    def test_file_shrunk_after_length_check(self, tmp_path, small_blocks, monkeypatch):
+        # A read that comes up short after the length check passed is an
+        # error, never rows left uninitialized.
+        p = tmp_path / "x.oodf"
+        save_features(p, np.arange(33.0).reshape(11, 3))
+        size = p.stat().st_size
+        p.write_bytes(p.read_bytes()[:-20])
+        monkeypatch.setattr(fileio, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=size)))
+        with pytest.raises(FormatError) as info:
+            load_features(p)
+        assert str(info.value) == f"{p}: truncated at offset {13 + 4 * 8 * 3}"
+
+    def test_non_finite_in_last_block_only(self, tmp_path, small_blocks):
+        x = np.ones((11, 3), "<f4")
+        x[9, 0], x[10, 2] = np.nan, np.inf  # rows 8-10 are the third block
+        p = tmp_path / "x.oodf"
+        _feature_file(p, x)
         with pytest.raises(NonFiniteError) as info:
             load_features(p)
         assert str(info.value) == f"{p}: payload contains NaN or Inf"
@@ -425,6 +505,30 @@ class TestComplementOnLoad:
 
 
 class TestLoadMemory:
+    # 50k x 64 rows: the float32 payload is 12.2 MiB, the float64 result
+    # 24.4 MiB. A whole-file bytes copy, a second payload copy or a full-size
+    # temporary would each break the allowance of two row blocks and 1 MiB.
+    ROWS, COLS = 50_000, 64
+    ALLOWANCE = 2 * linalg._BLOCK_BYTES + MiB
+
+    def _matrix(self):
+        return np.random.default_rng(17).normal(size=(self.ROWS, self.COLS))
+
+    def test_save_features_holds_only_its_payload(self, tmp_path):
+        x = self._matrix()
+        p = tmp_path / "x.oodf"
+        _, peak = _traced_peak(lambda: save_features(p, x))
+        assert peak <= x.size * 4 + self.ALLOWANCE, peak / MiB
+        assert p.read_bytes()[13:] == x.astype("<f4").tobytes()
+
+    def test_load_features_holds_its_result_and_one_block(self, tmp_path):
+        x = self._matrix()
+        p = tmp_path / "x.oodf"
+        save_features(p, x)
+        back, peak = _traced_peak(lambda: load_features(p))
+        assert peak <= back.nbytes + self.ALLOWANCE, peak / MiB
+        assert back.tobytes() == x.astype("<f4").astype(np.float64).tobytes()
+
     def test_kgau_load_peak_is_about_twice_the_file(self, tmp_path):
         # The file's bytes plus one float64 copy of each array; a second
         # copy of the column-major vectors would take the peak to ~2.9x.
