@@ -39,13 +39,11 @@ from .detector import (
 from .featmap import (
     FeatureMapSpec,
     RffMap,
-    cosine_apply,
     cosine_rff_spec,
     cosine_spec,
     identity_spec,
     map_apply,
     median_heuristic_gamma,
-    rff_apply,
     rff_build,
 )
 from .kernelspace import (

@@ -260,8 +260,6 @@ def cmd_score(args) -> int:
     try:
         values = score(x)
     except ZeroVectorError as exc:
-        if exc.row_index is None:
-            raise
         if not args.skip_bad_rows:
             raise DataError(
                 f"row {exc.row_index} has zero norm "

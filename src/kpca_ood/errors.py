@@ -37,14 +37,15 @@ class InvalidBandwidthError(NumericalError):
 
 
 class ZeroVectorError(DataError):
-    """A (near-)zero vector hit an operation that needs a direction.
+    """A (near-)zero row hit an operation that needs a direction.
 
-    ``row_index`` carries the offending row when raised from a batched
-    operation, else None.
+    ``name`` is the input's name and ``row_index`` the row's index in it;
+    the message is formed from the two.
     """
 
-    def __init__(self, message: str, row_index: int | None = None):
-        super().__init__(message)
+    def __init__(self, name: str, row_index: int):
+        super().__init__(f"{name} row {row_index} has zero norm")
+        self.name = name
         self.row_index = row_index
 
 

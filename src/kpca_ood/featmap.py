@@ -36,12 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    InvalidBandwidthError,
-    InvalidSpecError,
-    ZeroVectorError,
-)
+from .errors import InvalidBandwidthError, InvalidSpecError, ZeroVectorError
 from .linalg import _BLOCK_BYTES, _row_blocks, _row_norms, as_feature_matrix
 from .rng import make_prng, sample_cauchy, sample_gaussian, sample_uniform
 
@@ -71,22 +66,6 @@ _TABLE_MIN_SIZE = 4096
 _TABLE_CHUNK = 16384
 
 
-def cosine_apply(z) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm.
-
-    Raises ZeroVectorError when the norm is below ZERO_NORM_FLOOR; a zero
-    feature vector indicates upstream corruption rather than a scorable
-    sample.
-    """
-    v = np.asarray(z, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise DimMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if n < ZERO_NORM_FLOOR:
-        raise ZeroVectorError("cannot normalize a zero vector")
-    return v / n
-
-
 def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean norm of every row, and the indices of the zero-norm rows.
 
@@ -104,8 +83,7 @@ def _nonzero_row_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
     norms = _row_norms(x)
     # The first zero row is looked for only when there is one.
     if norms.min() < ZERO_NORM_FLOOR:
-        i = int(np.flatnonzero(norms < ZERO_NORM_FLOOR)[0])
-        raise ZeroVectorError(f"{name} row {i} has zero norm", row_index=i)
+        raise ZeroVectorError(name, int(np.flatnonzero(norms < ZERO_NORM_FLOOR)[0]))
     return norms
 
 
@@ -161,18 +139,7 @@ def rff_build(kernel_kind: str, gamma: float, m: int, d_in: int, seed: int) -> R
     )
 
 
-def rff_apply(rff: RffMap, z) -> np.ndarray:
-    """Map one vector through the Fourier features; output length M."""
-    v = np.asarray(z, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != rff.input_dim:
-        raise DimMismatchError(
-            f"expected a vector of dimension {rff.input_dim}, got shape {v.shape}"
-        )
-    m = rff.n_features
-    return np.sqrt(2.0 / m) * np.cos(rff.omegas @ v + rff.biases)
-
-
-def _rff_apply_batch(rff: RffMap, x: np.ndarray) -> np.ndarray:
+def _rff_batch(rff: RffMap, x: np.ndarray) -> np.ndarray:
     # sqrt(2/M) * cos(x @ omegas.T + biases), step by step in place on the
     # array the GEMM allocated; x may be the caller's own array.
     out = x @ rff.omegas.T
@@ -315,7 +282,7 @@ def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
     if spec.stages[0] == COSINE_STAGE:
         out = out / _nonzero_row_norms(out)[:, None]
     if len(spec.stages) == 2:
-        out = _rff_apply_batch(spec.stages[1], out)
+        out = _rff_batch(spec.stages[1], out)
     return out
 
 

@@ -3,8 +3,10 @@
 Feature container ("OODF"): magic, version byte 0x01, u32 rows, u32 cols
 (little-endian), then rows*cols IEEE-754 float32 values row-major. Used
 for features and for logits. Storage is 32-bit to match typical feature
-exports; everything computes in 64-bit after load. ``save_features`` holds
-only its float32 payload besides its input, and writes that array itself.
+exports; everything computes in 64-bit after load. ``save_features`` gates
+its input one row block at a time and holds only its float32 payload
+besides its input (none for a C-contiguous float32 input), and writes that
+array itself.
 ``load_features`` holds only its float64 result and one float32 row block
 (``linalg._BLOCK_BYTES``): it reads the file one block at a time into a
 reused buffer and passes each converted block of the result through the
@@ -70,7 +72,7 @@ from .featmap import (
     RffMap,
 )
 from .kernelspace import COSINE_KERNEL, GAUSSIAN_KERNEL, KernelSpaceModel
-from .linalg import _block_rows, as_feature_matrix
+from .linalg import _block_rows, _row_blocks, as_feature_matrix
 
 FEATURE_MAGIC = b"OODF"
 MODEL_MAGIC = b"OODM"
@@ -106,12 +108,19 @@ def _is_plus_zero(x: float) -> bool:
 
 def save_features(path, x) -> None:
     """Write a feature/logits matrix as a float32 container."""
-    x = as_feature_matrix(x)
-    rows, cols = x.shape
+    # An array keeps its dtype (anything else is read as float64, as by the
+    # gate) and is gated one row block at a time, so it is never upcast whole.
+    x = np.asarray(x, dtype=None if isinstance(x, np.ndarray) else np.float64)
+    if x.ndim != 2 or not x.size:
+        as_feature_matrix(x)  # raises its shape error for the whole input
+    rows = _row_blocks(
+        lambda b: len(as_feature_matrix(b)), x, x.shape[1], fold=int.__add__
+    )
+    cols = x.shape[1]
     if rows > _U32_MAX or cols > _U32_MAX:
         raise FormatError("matrix too large for the u32 header")
     with np.errstate(over="ignore"):
-        payload = x.astype("<f4")
+        payload = np.ascontiguousarray(x, dtype="<f4")
     if not np.all(np.isfinite(payload)):
         raise NonFiniteError("values overflow float32 storage")
     with open(path, "wb") as fh:

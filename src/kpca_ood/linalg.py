@@ -96,7 +96,7 @@ def _row_blocks(fn, x, width: int, fold=None):
     block results are concatenated along rows or, given ``fold``, combined
     left to right as fold(acc, result), so only one is held at a time. A
     ZeroVectorError naming a row of a block is re-raised with the row's
-    index in ``x`` and the rest of its message unchanged.
+    index in ``x``.
     """
     x = np.asarray(x)
     # The first test settles small inputs, single rows included, cheaply.
@@ -110,11 +110,7 @@ def _row_blocks(fn, x, width: int, fold=None):
         try:
             part = fn(x[start : start + rows])
         except ZeroVectorError as exc:
-            if exc.row_index is None:
-                raise
-            i = exc.row_index + start
-            head, _, tail = str(exc).rpartition(f"row {exc.row_index} ")
-            raise ZeroVectorError(f"{head}row {i} {tail}", row_index=i) from None
+            raise ZeroVectorError(exc.name, exc.row_index + start) from None
         if fold is None:
             parts.append(part)
         else:

@@ -63,6 +63,11 @@ class SynthSpec:
             raise InvalidSpecError(
                 f"unknown parameters for {self.kind}: {sorted(unknown)}"
             )
+        for key, value in self.params.items():
+            if not np.isfinite(value):
+                raise InvalidSpecError(f"{key} must be finite, got {value}")
+            if key in ("clusters", "rank") and value != int(value):
+                raise InvalidSpecError(f"{key} must be an integer, got {value}")
 
 
 def _resolved(spec: SynthSpec) -> dict:

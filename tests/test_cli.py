@@ -67,6 +67,24 @@ class TestSynth:
                  "--seed", 1, "--out", tmp_path / "d", "--param", "bogus=1")
         assert rc == 2  # InvalidSpecError -> data error
 
+    @pytest.mark.parametrize("kind,param,message", [
+        ("sphere-cluster", "clusters=inf", "clusters must be finite, got inf"),
+        ("low-rank-gauss", "rank=inf", "rank must be finite, got inf"),
+        ("sphere-cluster", "clusters=nan", "clusters must be finite, got nan"),
+        ("norm-shift", "sigma=inf", "sigma must be finite, got inf"),
+        ("norm-shift", "mu_ind=nan", "mu_ind must be finite, got nan"),
+        ("norm-shift", "mu_ood=inf", "mu_ood must be finite, got inf"),
+        ("low-rank-gauss", "ood_scale=nan", "ood_scale must be finite, got nan"),
+        ("sphere-cluster", "clusters=2.5", "clusters must be an integer, got 2.5"),
+        ("low-rank-gauss", "rank=1.7", "rank must be an integer, got 1.7"),
+    ])
+    def test_unusable_param_data_error(self, tmp_path, capsys, kind, param, message):
+        rc = run("synth", "--kind", kind, "--n", 50, "--dim", 4, "--seed", 1,
+                 "--out", tmp_path / "d", "--param", param)
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFitScore:
     def test_missing_train_flag_usage(self, tmp_path):

@@ -521,6 +521,14 @@ class TestLoadMemory:
         assert peak <= x.size * 4 + self.ALLOWANCE, peak / MiB
         assert p.read_bytes()[13:] == x.astype("<f4").tobytes()
 
+    def test_save_features_never_upcasts_a_float32_input(self, tmp_path):
+        # The input is its own payload; a whole float64 copy would be 24.4 MiB.
+        x = self._matrix().astype(np.float32)
+        p = tmp_path / "x.oodf"
+        _, peak = _traced_peak(lambda: save_features(p, x))
+        assert peak <= self.ALLOWANCE, peak / MiB
+        assert p.read_bytes()[13:] == x.tobytes()
+
     def test_load_features_holds_its_result_and_one_block(self, tmp_path):
         x = self._matrix()
         p = tmp_path / "x.oodf"

@@ -32,6 +32,28 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             generate(SynthSpec("sphere-cluster", 10, 4, 0, {"spread": -1.0}))
 
+    @pytest.mark.parametrize("kind,key", [
+        ("norm-shift", "mu_ind"), ("norm-shift", "mu_ood"), ("norm-shift", "sigma"),
+        ("sphere-cluster", "clusters"), ("sphere-cluster", "spread"),
+        ("low-rank-gauss", "rank"), ("low-rank-gauss", "noise"),
+        ("low-rank-gauss", "ood_scale"),
+    ])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_param_rejected(self, kind, key, value):
+        with pytest.raises(InvalidSpecError, match=f"^{key} must be finite"):
+            SynthSpec(kind, 10, 4, 0, {key: value})
+
+    @pytest.mark.parametrize("key,value", [("clusters", 2.5), ("rank", 1.7)])
+    def test_fractional_count_rejected(self, key, value):
+        kind = "sphere-cluster" if key == "clusters" else "low-rank-gauss"
+        with pytest.raises(InvalidSpecError, match=f"^{key} must be an integer"):
+            SynthSpec(kind, 10, 4, 0, {key: value})
+
+    def test_integral_float_count_accepted(self):
+        a = generate(SynthSpec("low-rank-gauss", 10, 4, 0, {"rank": 3.0}))
+        b = generate(SynthSpec("low-rank-gauss", 10, 4, 0, {"rank": 3}))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
 
 class TestDeterminismAndShape:
     @pytest.mark.parametrize(
