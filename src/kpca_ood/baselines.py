@@ -8,9 +8,10 @@ reduced at once to a running maximum (k = 1) or a running top k. Only the
 k-th largest similarity per row becomes a distance sqrt(max(2 - 2s, 0)).
 The rounded fl(2 - 2s) never increases as s grows, so this picks the same
 value, bit for bit, as taking the k-th smallest of all the distances. No
-distance matrix is formed, and the one tile alive at a time holds
-max(_KNN_TILE, _BLOCK_BYTES / (8 * block rows)) similarities per block
-row at most, whatever the number of stored rows.
+distance matrix is formed. Tiles start at multiples of the tile width
+max(_KNN_TILE, _BLOCK_BYTES / (8 * block rows)), and the last tile takes
+the remainder, so the one tile alive at a time holds fewer than twice
+that many similarities per block row, whatever the number of stored rows.
 
 MSP takes the maximum softmax probability and the energy score the
 log-sum-exp of a logits row, both computed max-shifted so huge logits
@@ -37,10 +38,10 @@ from .featmap import IDENTITY_STAGE, _nonzero_row_norms, normalize_rows
 from .linalg import _row_blocks, as_feature_matrix
 
 
-# Stored rows per kNN similarity tile, at least. Every tile width is a
-# multiple of 64, so each stored row of a full tile keeps its place in
-# OpenBLAS's GEMM kernel and its similarities the bits of one whole-train
-# product.
+# Stored rows per kNN similarity tile, at least. Every tile starts at a
+# multiple of 64 and the last one reaches the end of the stored rows, so
+# each stored row keeps its place in OpenBLAS's GEMM kernel, a narrow tail
+# included, and its similarities the bits of one whole-train product.
 _KNN_TILE = 2048
 
 
@@ -79,10 +80,13 @@ def knn_score(scorer: KnnScorer, x) -> np.ndarray:
     def block(rows):
         q = normalize_rows(rows, dim=train.shape[1])
         width = max(_KNN_TILE, linalg._BLOCK_BYTES // (8 * q.shape[0]) // 64 * 64)
+        # A remainder narrower than a tile joins the tile before it.
+        last = max(train.shape[0] - width, 0) // width * width
         best = None
-        for start in range(0, train.shape[0], width):
+        for start in range(0, last + 1, width):
+            stop = train.shape[0] if start == last else start + width
             # Each tile is freed when top_k returns, before the next is made.
-            top = top_k(q @ train[start : start + width].T)
+            top = top_k(q @ train[start:stop].T)
             best = top if best is None else top_k(np.column_stack([best, top]))
         return best if k == 1 else best.min(axis=1)
 

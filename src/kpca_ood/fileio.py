@@ -110,6 +110,8 @@ def save_features(path, x) -> None:
     """Write a feature/logits matrix as a float32 container."""
     # An array keeps its dtype (anything else is read as float64, as by the
     # gate) and is gated one row block at a time, so it is never upcast whole.
+    if np.iscomplexobj(x):
+        as_feature_matrix(x)  # raises its complex-input error
     x = np.asarray(x, dtype=None if isinstance(x, np.ndarray) else np.float64)
     if x.ndim != 2 or not x.size:
         as_feature_matrix(x)  # raises its shape error for the whole input

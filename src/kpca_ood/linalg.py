@@ -1,8 +1,8 @@
 """Feature-matrix validation and dense symmetric eigendecomposition.
 
 ``as_feature_matrix`` is the one ingestion gate: every rule a feature row
-must meet (a 2-D, non-empty matrix of the expected width, all entries
-finite) is checked there and nowhere else.
+must meet (a real, 2-D, non-empty matrix of the expected width, all
+entries finite) is checked there and nowhere else.
 
 The eigensolver is LAPACK's divide-and-conquer ``syevd``, reached through
 ``numpy.linalg.eigh``. Its input is first symmetrized exactly via
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DimMismatchError,
     NonFiniteError,
     NonSymmetricError,
@@ -53,10 +54,14 @@ def as_feature_matrix(
 ) -> np.ndarray:
     """Validate and return a 2-D float64 row-major feature matrix.
 
-    Rejects empty shapes, a width other than ``dim`` (when given) and
+    Rejects complex input (before any conversion could drop its imaginary
+    parts), empty shapes, a width other than ``dim`` (when given) and
     non-finite entries; this is the single ingestion gate, so downstream
     code can assume clean matrices.
     """
+    dtype = np.asarray(data).dtype
+    if dtype.kind == "c":
+        raise DataError(f"{name} must be real, got dtype {dtype}")
     x = np.ascontiguousarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise DimMismatchError(f"{name} must be 2-D, got shape {x.shape}")

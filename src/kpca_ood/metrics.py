@@ -4,9 +4,9 @@ Convention throughout: in-distribution samples score HIGHER. The
 false-positive rate is evaluated at the largest threshold that still
 admits the target fraction of in-distribution scores (inclusive >= on
 both sides, lower interpolation at the percentile), so reported numbers
-are reproducible bit-for-bit. AUROC is the tie-corrected rank statistic
-P(ind > ood) + 0.5 * P(ind = ood) computed by sort-and-rank, not by curve
-integration, which makes tie handling exact.
+are reproducible bit-for-bit. AUROC is the tie-corrected Mann-Whitney
+statistic P(ind > ood) + 0.5 * P(ind = ood), counted on the sorted scores
+rather than integrated along a curve, which makes tie handling exact.
 
 The benchmark times scorer callables one query row at a time on the
 calling thread, after warmup passes; wall-clock only, nothing asserted.
@@ -20,8 +20,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import glob
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -62,24 +60,18 @@ def fpr_at_tpr(ind_scores, ood_scores, tpr_target: float = DEFAULT_TPR):
     return fpr, threshold
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the group average."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
-    counts = np.diff(np.r_[starts, sx.size])
-    avg = starts + (counts + 1) / 2.0
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat(avg, counts)
-    return ranks
-
-
 def auroc(ind_scores, ood_scores) -> float:
-    """P(ind > ood) + 0.5 * P(ind = ood), exact under ties."""
-    ind = _check_scores(ind_scores, "ind")
-    ood = _check_scores(ood_scores, "ood")
-    ranks = _average_ranks(np.concatenate([ind, ood]))
-    u = ranks[: ind.size].sum() - ind.size * (ind.size + 1) / 2.0
+    """P(ind > ood) + 0.5 * P(ind = ood), exact under ties.
+
+    Two binary searches in the sorted OoD scores count, for each InD
+    score, the OoD scores below it and those equal to it. Both counts are
+    integers, so the numerator is exact while it is below 2**52.
+    """
+    ind = np.sort(_check_scores(ind_scores, "ind"))
+    ood = np.sort(_check_scores(ood_scores, "ood"))
+    below = np.searchsorted(ood, ind, side="left")
+    equal = np.searchsorted(ood, ind, side="right") - below
+    u = below.sum() + 0.5 * equal.sum()
     return float(u / (ind.size * ood.size))
 
 
@@ -158,19 +150,20 @@ class BenchReport:
 
 @functools.cache
 def _openblas_thread_controls():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    They are looked up in numpy's own extension module, which has the
+    OpenBLAS that numpy links loaded already.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextlib.contextmanager

@@ -17,7 +17,7 @@ from kpca_ood.errors import (
     LengthMismatchError,
     ZeroVectorError,
 )
-from kpca_ood.featmap import cosine_spec, identity_spec
+from kpca_ood.featmap import cosine_spec, identity_spec, normalize_rows
 
 TRAIN = np.array([[1.0, 0.0], [0.0, 1.0]])
 
@@ -71,6 +71,26 @@ class TestKnn:
         scorer = build_knn(TRAIN, k=1)
         with pytest.raises(DimMismatchError):
             knn_score(scorer, [[1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("c", [1, 5, 13, 33, 100])
+    def test_narrow_remainder_keeps_whole_train_bits(self, d, c):
+        # 4096 + c stored rows make two full 2048-row tiles and a remainder
+        # of c; each query lies about 1e-3 from one of the last c rows, so
+        # its nearest similarities come from that remainder. A GEMM kernel
+        # that rounds a narrow tail differently would move them, were the
+        # remainder a tile of its own. On a CPU whose GEMM kernel does not
+        # change at a narrow tail, this passes with such a tile too.
+        rng = np.random.default_rng(1000 * d + c)
+        knn = build_knn(rng.normal(size=(4096 + c, d)), k=1)
+        stored = knn.train_normalized
+        queries = (stored[-c:][rng.integers(0, c, size=256)]
+                   + 1e-3 * rng.normal(size=(256, d)))
+        sims = np.sort(normalize_rows(queries) @ stored.T, axis=1)
+        for k in (1, 2):
+            knn.k = k
+            oracle = -np.sqrt(np.clip(2.0 - 2.0 * sims[:, -k], 0.0, None))
+            assert np.array_equal(knn_score(knn, queries), oracle)
 
 
 class TestMsp:

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from kpca_ood.errors import DimMismatchError, NonFiniteError, NonSymmetricError
+from kpca_ood.baselines import build_knn, knn_score
+from kpca_ood.detector import fit, score_reconstruction
+from kpca_ood.errors import (
+    DataError,
+    DimMismatchError,
+    NonFiniteError,
+    NonSymmetricError,
+)
+from kpca_ood.featmap import cosine_spec
+from kpca_ood.fileio import save_features
 from kpca_ood.linalg import as_feature_matrix, sym_eig
 
 
@@ -33,6 +42,45 @@ class TestAsFeatureMatrix:
         assert as_feature_matrix(np.ones((2, 3)), dim=3).shape == (2, 3)
         with pytest.raises(DimMismatchError, match="x must have 4 columns, got 3"):
             as_feature_matrix(np.ones((2, 3)), "x", dim=4)
+
+
+class TestComplexInputRejected:
+    # Zero imaginary parts: a cast to float64 would keep every value, and
+    # would still be wrong to make silently.
+    ROWS = np.arange(1.0, 9.0).reshape(4, 2) + 0j
+
+    @pytest.fixture(params=["ndarray", "list"])
+    def rows(self, request):
+        if request.param == "ndarray":
+            return self.ROWS
+        return [[complex(v) for v in row] for row in self.ROWS]
+
+    def test_gate(self, rows):
+        with pytest.raises(DataError, match="^x must be real, got dtype complex128$"):
+            as_feature_matrix(rows, "x")
+
+    def test_complex64_named(self):
+        with pytest.raises(DataError, match="got dtype complex64$"):
+            as_feature_matrix(self.ROWS.astype(np.complex64))
+
+    def test_save_features_writes_no_file(self, rows, tmp_path):
+        path = tmp_path / "x.oodf"
+        with pytest.raises(DataError, match="^features must be real, got dtype complex128$"):
+            save_features(path, rows)
+        assert not path.exists()
+
+    def test_fit(self, rows):
+        with pytest.raises(DataError, match="must be real, got dtype complex128"):
+            fit(rows, cosine_spec(2), evr_target=0.9)
+
+    def test_scorers(self, rows):
+        train = self.ROWS.real
+        model = fit(train, cosine_spec(2), evr_target=0.9)
+        knn = build_knn(train, k=1)
+        for call in (lambda: score_reconstruction(model, rows),
+                     lambda: knn_score(knn, rows)):
+            with pytest.raises(DataError, match="must be real, got dtype complex128"):
+                call()
 
 
 class TestSymEigExamples:

@@ -133,6 +133,44 @@ class TestAuroc:
             assert got_f == base_f
 
 
+class TestOracleProperty:
+    """Both metrics equal the quadratic oracles exactly under random ties."""
+
+    def test_metrics_equal_oracles(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300,
+                             1e300, -1e300]),
+            st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=False),
+        )
+
+        # A pool of 1 to 4 values makes ties common, and a pool of one makes
+        # every score equal.
+        @st.composite
+        def score_pair(draw):
+            pool = draw(st.lists(values, min_size=1, max_size=4))
+            side = st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+            return draw(side), draw(side)
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(
+            pair=score_pair(),
+            tpr=st.one_of(st.sampled_from([0.95, 0.5, 1.0]), st.floats(0.01, 1.0)),
+        )
+        @hypothesis.example(pair=([0.0, -0.0, 0.0], [-0.0]), tpr=0.95)
+        @hypothesis.example(pair=([1e-300], [1e300, -1e300]), tpr=1.0)
+        @hypothesis.example(pair=([2.0] * 7, [2.0] * 60), tpr=0.95)
+        def check(pair, tpr):
+            ind, ood = (np.array(side) for side in pair)
+            assert auroc(ind, ood) == brute_force_auroc(ind, ood)
+            # == takes -0.0 for 0.0: the oracle's set keeps either zero.
+            assert fpr_at_tpr(ind, ood, tpr) == brute_force_fpr(ind, ood, tpr)
+
+        check()
+
+
 class TestEvaluate:
     def test_report_fields(self):
         rep = evaluate(np.ones(8), np.zeros(5))

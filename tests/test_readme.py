@@ -1,11 +1,14 @@
-"""The README's library example runs as written, and its names exist."""
+"""The README's library example runs as written, its CLI commands parse,
+and its names exist."""
 
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import kpca_ood
+from kpca_ood import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +30,16 @@ def test_module_references_resolve():
     missing = [f"{m}.{name}" for m, name in sorted(refs)
                if not hasattr(importlib.import_module(f"kpca_ood.{m}"), name)]
     assert missing == []
+
+
+def test_cli_commands_parse():
+    # Every `kpca-ood ...` command of the sh blocks, continuation lines
+    # joined and comments dropped, passes the parser and the argument gate.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["kpca-ood"]]
+    assert len(commands) >= 9
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        cli._check_args(args)
