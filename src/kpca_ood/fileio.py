@@ -4,9 +4,9 @@ Feature container ("OODF"): magic, version byte 0x01, u32 rows, u32 cols
 (little-endian), then rows*cols IEEE-754 float32 values row-major. Used
 for features and for logits. Storage is 32-bit to match typical feature
 exports; everything computes in 64-bit after load. ``save_features`` gates
-its input one row block at a time and holds only its float32 payload
+an array input one row block at a time and holds only its float32 payload
 besides its input (none for a C-contiguous float32 input), and writes that
-array itself.
+array itself; any other input (a list, say) is converted once, by the gate.
 ``load_features`` holds only its float64 result and one float32 row block
 (``linalg._BLOCK_BYTES``): it reads the file one block at a time into a
 reused buffer and passes each converted block of the result through the
@@ -108,17 +108,14 @@ def _is_plus_zero(x: float) -> bool:
 
 def save_features(path, x) -> None:
     """Write a feature/logits matrix as a float32 container."""
-    # An array keeps its dtype (anything else is read as float64, as by the
-    # gate) and is gated one row block at a time, so it is never upcast whole.
-    if np.iscomplexobj(x):
-        as_feature_matrix(x)  # raises its complex-input error
-    x = np.asarray(x, dtype=None if isinstance(x, np.ndarray) else np.float64)
-    if x.ndim != 2 or not x.size:
-        as_feature_matrix(x)  # raises its shape error for the whole input
-    rows = _row_blocks(
-        lambda b: len(as_feature_matrix(b)), x, x.shape[1], fold=int.__add__
-    )
+    # A real, non-empty 2-D array keeps its dtype and is gated one row block
+    # at a time, so it is never upcast whole; anything else is gated whole,
+    # which converts a list once or raises the gate's error for the input.
+    whole = not isinstance(x, np.ndarray) or x.dtype.kind == "c"
+    if whole or x.ndim != 2 or not x.size:
+        x = as_feature_matrix(x)
     cols = x.shape[1]
+    rows = _row_blocks(lambda b: len(as_feature_matrix(b)), x, cols, fold=int.__add__)
     if rows > _U32_MAX or cols > _U32_MAX:
         raise FormatError("matrix too large for the u32 header")
     with np.errstate(over="ignore"):
@@ -175,7 +172,7 @@ def method_for_model(model) -> str:
 
 
 def _pack_f64(a: np.ndarray, order: str) -> bytes:
-    return np.ascontiguousarray(a, dtype=np.float64).astype("<f8").tobytes(order=order)
+    return np.asarray(a, dtype="<f8").tobytes(order=order)
 
 
 def save_model(path, model) -> None:

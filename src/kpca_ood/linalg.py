@@ -2,7 +2,9 @@
 
 ``as_feature_matrix`` is the one ingestion gate: every rule a feature row
 must meet (a real, 2-D, non-empty matrix of the expected width, all
-entries finite) is checked there and nowhere else.
+entries finite) is checked there and nowhere else. It is also the only
+code that converts outside feature data to float64, and it converts a list
+once.
 
 The eigensolver is LAPACK's divide-and-conquer ``syevd``, reached through
 ``numpy.linalg.eigh``. Its input is first symmetrized exactly via
@@ -59,10 +61,12 @@ def as_feature_matrix(
     non-finite entries; this is the single ingestion gate, so downstream
     code can assume clean matrices.
     """
-    dtype = np.asarray(data).dtype
-    if dtype.kind == "c":
-        raise DataError(f"{name} must be real, got dtype {dtype}")
-    x = np.ascontiguousarray(data, dtype=np.float64)
+    a = np.asarray(data)
+    if a.dtype.kind == "c":
+        raise DataError(f"{name} must be real, got dtype {a.dtype}")
+    # A numeric list is converted once, from ``a``; any other kind is
+    # converted from ``data``, so numpy's error names the value as given.
+    x = np.ascontiguousarray(a if a.dtype.kind in "biuf" else data, dtype=np.float64)
     if x.ndim != 2:
         raise DimMismatchError(f"{name} must be 2-D, got shape {x.shape}")
     if x.shape[0] < 1 or x.shape[1] < 1:

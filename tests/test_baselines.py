@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kpca_ood.baselines import (
+    KnnScorer,
     as_logits_matrix,
     build_knn,
     energy_score,
@@ -15,6 +16,7 @@ from kpca_ood.errors import (
     DimMismatchError,
     KTooLargeError,
     LengthMismatchError,
+    NonFiniteError,
     ZeroVectorError,
 )
 from kpca_ood.featmap import cosine_spec, identity_spec, normalize_rows
@@ -203,3 +205,18 @@ class TestFuse:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             fuse([0.1, 0.2], [1.0])
+
+
+class TestArgumentErrors:
+    def test_build_knn_k_zero(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            build_knn(TRAIN, k=0)
+
+    def test_knn_score_k_above_stored_rows(self):
+        scorer = KnnScorer(train_normalized=np.eye(3), k=5)
+        with pytest.raises(KTooLargeError, match="k=5 exceeds 3 stored rows"):
+            knn_score(scorer, [[1.0, 0.0, 0.0]])
+
+    def test_fuse_non_finite(self):
+        with pytest.raises(NonFiniteError, match="NaN or Inf"):
+            fuse([np.nan], [1.0])

@@ -11,7 +11,7 @@ import kpca_ood
 from kpca_ood import cli, fileio, linalg
 from kpca_ood.baselines import reg_pca_error
 from kpca_ood.cli import build_parser, main
-from kpca_ood.detector import score_reconstruction
+from kpca_ood.detector import score_reconstruction, score_residual
 from kpca_ood.errors import IndexMismatchError
 from kpca_ood.featmap import median_heuristic_gamma, normalize_rows
 from kpca_ood.kernelspace import KernelSpaceModel, score_kernelspace
@@ -901,3 +901,42 @@ class TestCommandOutput:
             {"dataset": "AVERAGE", "metric": "fpr95", "value": 0.25},
             {"dataset": "AVERAGE", "metric": "auroc", "value": 0.8125},
         ]
+
+
+class TestUnreachedCliPaths:
+    @pytest.mark.parametrize("param,message", [
+        ("clusters", "--param expects key=value"),
+        ("clusters=abc", "is not a number"),
+    ])
+    def test_synth_param_usage_errors(self, tmp_path, capsys, param, message):
+        assert run("synth", "--kind", "sphere-cluster", "--n", 50, "--dim", 4,
+                   "--out", tmp_path / "d", "--param", param) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_values_must_be_numeric(self, tmp_path, capsys):
+        missing = tmp_path / "none.oodf"
+        assert run("sweep", "--train", missing, "--ind", missing, "--ood", missing,
+                   "--method", "corp", "--param", "evr", "--values", "0.5,x") == 1
+        assert "--values must be numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,param,message", [
+        ("sphere-cluster", "clusters=-3", "clusters must be >= 1, got -3"),
+        ("low-rank-gauss", "noise=-1", "noise must be >= 0, got -1.0"),
+    ])
+    def test_synth_param_out_of_range(self, tmp_path, capsys, kind, param, message):
+        assert run("synth", "--kind", kind, "--n", 50, "--dim", 4,
+                   "--out", tmp_path / "d", "--param", param) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fit_store_residual(self, synth_files, tmp_path):
+        ind, ood = synth_files
+        model_path = tmp_path / "m.oodm"
+        assert run("fit", "--train", ind, "--method", "corp", "--seed", 3,
+                   "--store-residual", "--out", model_path) == 0
+        model = fileio.load_model(model_path)
+        assert model.residual_basis is not None
+        x = fileio.load_features(ood)
+        residual, reconstruction = score_residual(model, x), score_reconstruction(model, x)
+        np.testing.assert_allclose(residual, reconstruction, rtol=1e-12, atol=0.0)

@@ -412,3 +412,13 @@ class TestInputsUnchanged:
             assert train.tobytes() == before
             fit_kernelspace(train, kernel, gamma=gamma, evr_target=0.8)
             assert train.tobytes() == before
+
+
+class TestArgumentErrors:
+    def test_choose_q_empty_spectrum(self):
+        with pytest.raises(ValueError, match="non-empty 1-D spectrum"):
+            choose_q([], 0.9)
+
+    def test_fit_evr_target_zero(self):
+        with pytest.raises(ValueError, match=r"evr_target must be in \(0, 1\], got 0.0"):
+            fit(FOUR_POINTS, identity_spec(2), evr_target=0.0)

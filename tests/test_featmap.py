@@ -480,3 +480,13 @@ class TestTableCosine:
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=path)).stdout
         assert out.split() == ["0", "0"]
+
+
+class TestArgumentErrors:
+    def test_spec_input_dim_zero(self):
+        with pytest.raises(InvalidSpecError, match="input_dim must be >= 1, got 0"):
+            FeatureMapSpec(("identity",), 0)
+
+    def test_median_heuristic_one_row(self):
+        with pytest.raises(InvalidBandwidthError, match="at least 2 rows"):
+            median_heuristic_gamma(np.ones((1, 3)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kpca_ood.detector import fit, score_reconstruction
-from kpca_ood.errors import FormatError, NonFiniteError
+from kpca_ood.errors import DataError, DimMismatchError, FormatError, NonFiniteError
 from kpca_ood.featmap import cosine_rff_spec, cosine_spec, identity_spec, rff_build
 from kpca_ood import fileio, linalg
 from kpca_ood.fileio import (
@@ -792,3 +792,129 @@ class TestContainerErrorPaths:
         with pytest.raises(FormatError, match="matching 1-D vectors"):
             save_scores(p, indices, values)
         assert not p.exists()
+
+
+def _parity_cases():
+    """id -> (input, save_features error, as_feature_matrix error).
+
+    An error is (class, message), or (class, None) for numpy's own error,
+    whose message is the one np.asarray(input, np.float64) raises; None
+    means the input is good.
+    """
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(5, 3))
+    nan, f32_inf, overflow = x.copy(), x.astype(np.float32), x.copy()
+    nan[2, 0], f32_inf[1, 1], overflow[0, 0] = np.nan, np.inf, 1e39
+    later = rng.normal(size=(20000, 64))  # three row blocks at width 64
+    later[15000, 7] = np.nan
+
+    def shape(s, what="2-D"):
+        return DimMismatchError, f"features must be {what}, got shape {s}"
+
+    empty = "non-empty"
+    non_finite = NonFiniteError, "features contains NaN or Inf"
+    complex_ = DataError, "features must be real, got dtype complex128"
+    good = {
+        "float64": x, "float32": x.astype(np.float32),
+        "int64": (10 * x).astype(np.int64), "float16": x.astype(np.float16),
+        "big-endian": x.astype(">f8"), "long-double": x.astype(np.longdouble),
+        "strided": rng.normal(size=(6, 8))[::2, ::3], "fortran": np.asfortranarray(x),
+        "float-list": x.tolist(), "int-list": (10 * x).astype(int).tolist(),
+        "bool-list": (x > 0).tolist(), "tuple": tuple(map(tuple, x.tolist())),
+        "int-2^70-list": [[2**70, 1]],
+    }
+    bad = {
+        "1-D": (np.ones(4), shape((4,))),
+        "0-D": (np.array(1.0), shape((1,))),  # the gate's array is at least 1-D
+        "3-D": (np.ones((2, 2, 2)), shape((2, 2, 2))),
+        "0-rows": (np.ones((0, 4)), shape((0, 4), empty)),
+        "0-cols": (np.ones((4, 0)), shape((4, 0), empty)),
+        "0-cols-600k-rows": (np.ones((600000, 0)), shape((600000, 0), empty)),
+        "nan": (nan, non_finite),
+        "float32-inf": (f32_inf, non_finite),
+        "nan-in-later-block": (later, non_finite),
+        "strings": ([["a", "b"]], (ValueError, None)),
+        "ragged": ([[1.0, 2.0], [3.0]], (ValueError, None)),
+        "none": (None, shape((1,))),
+        "complex-array": (x + 1j, complex_),
+        "complex-list": ([[1 + 2j, 3.0]], complex_),
+        "object-array": (np.array([[1.0, None]], dtype=object), non_finite),
+        "1-D-list": ([1.0, 2.0], shape((2,))),
+        "empty-list": ([], shape((0,))),
+        "nan-list": ([[1.0, float("nan")]], non_finite),
+    }
+    cases = {k: (v, None, None) for k, v in good.items()}
+    cases.update({k: (v, err, err) for k, (v, err) in bad.items()})
+    cases["float32-overflow"] = (
+        overflow, (NonFiniteError, "values overflow float32 storage"), None
+    )
+    return cases
+
+
+PARITY = _parity_cases()
+
+
+def _raises_as_expected(call, error, x):
+    cls, message = error
+    if message is None:
+        with pytest.raises(cls) as numpy_error:
+            np.asarray(x, np.float64)
+        message = str(numpy_error.value)
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+
+
+class TestOneConversionParity:
+    """save_features and as_feature_matrix give the same bytes or the same
+    error on each input, whether it is an array (converted by its own
+    dtype) or a list (converted once, by the gate)."""
+
+    @pytest.mark.parametrize("name", list(PARITY))
+    def test_save_features(self, tmp_path, name):
+        x, error, _ = PARITY[name]
+        p = tmp_path / "x.oodf"
+        if error is not None:
+            _raises_as_expected(lambda: save_features(p, x), error, x)
+            assert not p.exists()
+            return
+        save_features(p, x)
+        if isinstance(x, np.ndarray):
+            payload = np.ascontiguousarray(x, "<f4")  # its own dtype, cast once
+        else:
+            payload = np.asarray(x, np.float64).astype("<f4")
+        header = struct.pack("<4sBII", b"OODF", 1, *payload.shape)
+        assert p.read_bytes() == header + payload.tobytes()
+
+    @pytest.mark.parametrize("name", list(PARITY))
+    def test_as_feature_matrix(self, name):
+        x, _, error = PARITY[name]
+        if error is not None:
+            _raises_as_expected(lambda: linalg.as_feature_matrix(x), error, x)
+            return
+        out = linalg.as_feature_matrix(x)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.tobytes() == np.asarray(x, np.float64).tobytes()
+
+
+def test_save_features_u32_header_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_U32_MAX", 3)
+    p = tmp_path / "x.oodf"
+    with pytest.raises(FormatError, match="too large for the u32 header"):
+        save_features(p, np.ones((4, 2)))
+    assert not p.exists()
+
+
+def test_load_scores_per_line_reader(tmp_path):
+    # A space after a comma and a blank line leave the loadtxt path.
+    p = tmp_path / "s.csv"
+    p.write_text("index,score\n0, 1.5\n\n1,2.5\n")
+    idx, vals = load_scores(p)
+    assert idx.tolist() == [0, 1]
+    assert vals.tolist() == [1.5, 2.5]
+
+
+def test_method_for_model_rejects_unknown_object():
+    with pytest.raises(FormatError, match="no canonical method tag"):
+        method_for_model(object())

@@ -216,3 +216,9 @@ class TestSymEigLapack:
         r2 = sym_eig(a.copy())
         assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
         assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
+
+
+def test_sym_eig_empty_matrix():
+    r = sym_eig(np.empty((0, 0)))
+    assert r.eigenvalues.shape == (0,)
+    assert r.eigenvectors.shape == (0, 0)

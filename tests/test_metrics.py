@@ -247,3 +247,19 @@ class TestBench:
             assert get() == before
         finally:
             set_(original)
+
+
+class TestBenchArguments:
+    def test_reps_zero(self):
+        with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+            bench_scorers({"noop": lambda r: 0.0}, np.ones((2, 3)), reps=0)
+
+    def test_one_d_queries(self):
+        with pytest.raises(ValueError, match="queries must be 2-D"):
+            bench_scorers({"noop": lambda r: 0.0}, np.ones(3))
+
+    def test_without_openblas_controls(self, monkeypatch):
+        # BLAS threading is left as it is, and the scorers are still timed.
+        monkeypatch.setattr(metrics, "_openblas_thread_controls", lambda: None)
+        rep = bench_scorers({"noop": lambda r: 0.0}, np.ones((2, 3)), warmup=0, reps=1)
+        assert list(rep.per_query_micros) == ["noop"]

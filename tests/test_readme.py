@@ -1,5 +1,5 @@
-"""The README's library example runs as written, its CLI commands parse,
-and its names exist."""
+"""The README's library example runs as written, its CLI commands parse
+and run, and its names exist."""
 
 import importlib
 import pkgutil
@@ -7,8 +7,10 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 import kpca_ood
-from kpca_ood import cli
+from kpca_ood import baselines, cli, fileio
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,3 +45,25 @@ def test_cli_commands_parse():
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
         cli._check_args(args)
+
+
+def test_cli_walkthrough_runs(tmp_path, monkeypatch):
+    # Every `kpca-ood ...` command of the sh blocks runs in order and exits
+    # 0. The fuse block reads two files no command above it writes: a pca
+    # model, and energy.csv made the way the README says.
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines]
+        commands = [argv[1:] for argv in commands if argv[:1] == ["kpca-ood"]]
+        if any(argv[0] == "fuse" for argv in commands):
+            assert cli.main(["fit", "--train", "data.ind.oodf", "--method", "pca",
+                             "--out", "pca.oodm"]) == 0
+            logits = fileio.load_features("data.ood.oodf")
+            fileio.save_scores("energy.csv", np.arange(len(logits)),
+                               baselines.energy_score(logits))
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+            ran += 1
+    assert ran >= 9

@@ -78,3 +78,11 @@ def test_cauchy_determinism_and_args():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         sample_cauchy(make_prng(0), 10, 0.0)
+
+
+def test_uniform_and_cauchy_reject_zero_draws():
+    prng = make_prng(0)
+    with pytest.raises(ValueError, match="need n >= 1 draws, got 0"):
+        sample_uniform(prng, 0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="need n >= 1 draws, got 0"):
+        sample_cauchy(prng, 0, 1.0)
