@@ -91,7 +91,8 @@ def knn_score(scorer: KnnScorer, x) -> np.ndarray:
         return best if k == 1 else best.min(axis=1)
 
     # unit rows on both sides: ||a-b||^2 = 2 - 2 a.b
-    kth = np.clip(2.0 - 2.0 * _row_blocks(block, x, _KNN_TILE), 0.0, None)
+    kth = 2.0 - 2.0 * _row_blocks(block, x, _KNN_TILE)
+    np.maximum(kth, 0.0, out=kth)
     return -np.sqrt(kth)
 
 

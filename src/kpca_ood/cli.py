@@ -32,6 +32,7 @@ from .errors import (
 from .featmap import (
     IDENTITY_STAGE,
     FeatureMapSpec,
+    _heuristic_rows,
     median_heuristic_gamma,
     normalize_rows,
     rff_build,
@@ -160,13 +161,23 @@ def _default_gamma(flags, methods, train):
 
     The default is the median heuristic on the cosine-normalized training
     rows (the input the kernel actually sees). A command computes it at
-    most once and passes it into every fit.
+    most once and passes it into every fit. Every row's norm is checked,
+    so a zero row fails as ``normalize_rows(train)`` would, but only the
+    rows the heuristic samples are normalized. A row's unit vector does
+    not depend on the other rows, so gamma has the bits of
+    ``median_heuristic_gamma(normalize_rows(train))``, while the step
+    holds N-vectors and the subsample, never an N x d copy.
     """
     if flags.gamma is not None or all(
         m == "knn" or METHODS[m][1] in (None, COSINE_KERNEL) for m in methods
     ):
         return flags
-    gamma = median_heuristic_gamma(normalize_rows(train))
+    zero = row_norms(train)[1]
+    if zero.size:
+        raise ZeroVectorError("features", int(zero[0]))
+    gamma = median_heuristic_gamma(
+        normalize_rows(train[_heuristic_rows(train.shape[0])])
+    )
     print(f"gamma defaulted by median heuristic: {gamma:.6g}")
     return argparse.Namespace(**{**vars(flags), "gamma": gamma})
 

@@ -43,6 +43,9 @@ from .rng import make_prng, sample_cauchy, sample_gaussian, sample_uniform
 # Norms below this are treated as degenerate zero features.
 ZERO_NORM_FLOOR = 1e-30
 MEDIAN_HEURISTIC_ROWS = 2000  # the most rows median_heuristic_gamma looks at
+# The most bytes of median_heuristic_gamma's outer-sum scratch. With the
+# distances it meets it fits a 2 MiB L2 cache; a block-sized one measured slower.
+_OUTER_SUM_BYTES = 2**20
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
@@ -286,13 +289,36 @@ def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
     return out
 
 
+def _heuristic_rows(n: int):
+    """The rows median_heuristic_gamma looks at among n: all of them, or
+    MEDIAN_HEURISTIC_ROWS evenly strided ones."""
+    if n <= MEDIAN_HEURISTIC_ROWS:
+        return slice(None)
+    return np.linspace(0, n - 1, MEDIAN_HEURISTIC_ROWS).astype(np.intp)
+
+
 def median_heuristic_gamma(x) -> float:
     """Bandwidth from the median pairwise distance: 1 / (2 * median^2).
 
     Uses an evenly strided subsample of at most MEDIAN_HEURISTIC_ROWS rows
-    so the estimate is deterministic and cheap on large training sets. The
-    squared distances of pairs i < j are built over row blocks of the
-    subsample, so no N x N temporary is formed.
+    (``_heuristic_rows``) so the estimate is deterministic and cheap on
+    large training sets.
+
+    The squared distances of the n subsample rows are written straight
+    into one selection buffer, a row block at a time, so no N x N
+    temporary is formed. Block [a, b) (at most _BLOCK_BYTES // (8 * n)
+    rows) holds rows a..b-1 against columns a+1..n-1 as a row-major
+    (b - a) x (n - 1 - a) rectangle, pair (i, j) at (i - a, j - a - 1);
+    the buffer is the blocks' rectangles back to back. Each rectangle is
+    the GEMM (2 x_i) . x_j, written in place, then (sq_i + sq_j) minus
+    it. The outer sum is made in one scratch array of at most
+    _OUTER_SUM_BYTES, which every part of every block reuses. Doubling is
+    exact (short of subnormal products), so these are the bits of
+    sq_i + sq_j - 2.0 * x_i.x_j. The pairs j <= i, a strict lower
+    triangle at each rectangle's left edge, are set to +inf so they sort
+    after every distance. The buffer holds the n (n - 1) / 2 distances
+    plus those triangles (about n * rows / 2 more, some 13% at
+    n = 2000); the scratch array adds at most 1 MiB.
 
     The median is selected on the squared distances. Clipping at 0 and
     sqrt are monotone, so they commute with order statistics: the one or
@@ -310,11 +336,8 @@ def median_heuristic_gamma(x) -> float:
     leave as a few ulps of the largest squared norm instead of zero.
     """
     x = as_feature_matrix(x)
+    x = x[_heuristic_rows(x.shape[0])]
     n = x.shape[0]
-    if n > MEDIAN_HEURISTIC_ROWS:
-        idx = np.linspace(0, n - 1, MEDIAN_HEURISTIC_ROWS).astype(np.intp)
-        x = x[idx]
-        n = MEDIAN_HEURISTIC_ROWS
     if n < 2:
         raise InvalidBandwidthError("need at least 2 rows for the median heuristic")
     with np.errstate(over="ignore"):
@@ -326,26 +349,33 @@ def median_heuristic_gamma(x) -> float:
         raise InvalidBandwidthError(
             "squared row norms overflow; cannot derive a bandwidth"
         )
-    dist = np.empty(n * (n - 1) // 2)
-    rows, done = max(1, _BLOCK_BYTES // (8 * n)), 0
-    for a in range(0, n - 1, rows):
-        b = min(a + rows, n - 1)
-        # Rows a..b-1 against columns a+1..n-1; pair (i, j) sits at (i-a, j-a-1).
-        # Doubling is exact, so d2 has the bits of sq_i + sq_j - 2.0 * dots.
-        dots = x[a:b] @ x[a + 1 :].T
-        dots *= 2.0
-        d2 = sq[a:b, None] + sq[None, a + 1 :]
-        d2 -= dots
-        del dots
-        for r in range(b - a):
-            width = d2.shape[1] - r
-            dist[done : done + width] = d2[r, r:]
-            done += width
-        del d2  # freed before the next block is allocated
-    k = dist.size // 2
+    # The GEMM blocks keep the _BLOCK_BYTES rule, so gamma keeps its bits: a
+    # GEMM's last bits depend on its row count. The outer sum is made for a
+    # part of a block at a time, so it and the distances it meets stay in cache.
+    rows = min(max(1, _BLOCK_BYTES // (8 * n)), n - 1)
+    part = min(max(1, _OUTER_SUM_BYTES // (8 * n)), rows)
+    starts = range(0, n - 1, rows)
+    sizes = [(min(a + rows, n - 1) - a) * (n - 1 - a) for a in starts]
+    dist, outer = np.empty(sum(sizes)), np.empty(part * (n - 1))
+    twice = x * 2.0
+    lower = np.tri(rows, k=-1, dtype=bool)
+    done = 0
+    for a, size in zip(starts, sizes):
+        m, cols = min(a + rows, n - 1) - a, n - 1 - a
+        view = dist[done : done + size].reshape(m, cols)
+        np.matmul(twice[a : a + m], x[a + 1 :].T, out=view)
+        for r in range(0, m, part):
+            e = min(r + part, m)
+            s = outer[: (e - r) * cols].reshape(e - r, cols)
+            np.add(sq[a + r : a + e, None], sq[None, a + 1 :], out=s)
+            np.subtract(s, view[r:e], out=view[r:e])
+        np.copyto(view[:, :m], np.inf, where=lower[:m, :m])
+        done += size
+    pairs = n * (n - 1) // 2
+    k = pairs // 2
     dist.partition(k)
     # np.median's middle pair, the same value twice for an odd count.
-    lo = dist[k] if dist.size % 2 else dist[:k].max()
+    lo = dist[k] if pairs % 2 else dist[:k].max()
     # The worst-case rounding error of sq_i + sq_j - 2 x_i.x_j over d terms;
     # a median squared distance within it cannot be told from zero.
     noise = 2.0 * (x.shape[1] + 2) * np.finfo(np.float64).eps * sq.max()

@@ -57,9 +57,10 @@ def as_feature_matrix(
     """Validate and return a 2-D float64 row-major feature matrix.
 
     Rejects complex input (before any conversion could drop its imaginary
-    parts), empty shapes, a width other than ``dim`` (when given) and
-    non-finite entries; this is the single ingestion gate, so downstream
-    code can assume clean matrices.
+    parts), None (which numpy would convert to NaN), shapes that are not
+    2-D (named as passed) or are empty, a width other than ``dim`` (when
+    given) and non-finite entries; this is the single ingestion gate, so
+    downstream code can assume clean matrices.
     """
     a = np.asarray(data)
     if a.dtype.kind == "c":
@@ -67,17 +68,33 @@ def as_feature_matrix(
     # A numeric list is converted once, from ``a``; any other kind is
     # converted from ``data``, so numpy's error names the value as given.
     x = np.ascontiguousarray(a if a.dtype.kind in "biuf" else data, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimMismatchError(f"{name} must be 2-D, got shape {x.shape}")
-    if x.shape[0] < 1 or x.shape[1] < 1:
-        raise DimMismatchError(f"{name} must be non-empty, got shape {x.shape}")
-    if dim is not None and x.shape[1] != dim:
-        raise DimMismatchError(f"{name} must have {dim} columns, got {x.shape[1]}")
+    # One test on the accepted path; _rejection finds the rule that failed.
     # The ndarray method skips np.all's Python wrapper, which is a
     # measurable share of a single-row query.
-    if not np.isfinite(x).all():
-        raise NonFiniteError(f"{name} contains NaN or Inf")
+    if not (
+        x.ndim == 2
+        and x.size
+        and (dim is None or x.shape[1] == dim)
+        and np.isfinite(x).all()
+    ):
+        raise _rejection(a, x, name, dim)
     return x
+
+
+def _rejection(a: np.ndarray, x: np.ndarray, name: str, dim) -> DataError:
+    """The error for ``x``, converted from ``a`` by as_feature_matrix, that
+    breaks one of its rules (the first, in the order they are listed)."""
+    # numpy converts None to NaN; it is not a number the caller gave.
+    if a.dtype.kind == "O" and any(v is None for v in a.flat):
+        return DataError(f"{name} must be numeric, got None")
+    if x.ndim != 2:
+        # a has the caller's shape; x is at least 1-D.
+        return DimMismatchError(f"{name} must be 2-D, got shape {a.shape}")
+    if not x.size:
+        return DimMismatchError(f"{name} must be non-empty, got shape {x.shape}")
+    if dim is not None and x.shape[1] != dim:
+        return DimMismatchError(f"{name} must have {dim} columns, got {x.shape[1]}")
+    return NonFiniteError(f"{name} contains NaN or Inf")
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import kpca_ood
-from kpca_ood import cli, fileio, linalg
+from kpca_ood import cli, featmap, fileio, linalg
 from kpca_ood.baselines import reg_pca_error
 from kpca_ood.cli import build_parser, main
 from kpca_ood.detector import score_reconstruction, score_residual
@@ -438,6 +439,33 @@ class TestDefaultGamma:
         assert run("fit", "--train", ind, "--method", method,
                    "--gamma", repr(self._gamma(ind)), "--out", given) == 0
         assert default.read_bytes() == given.read_bytes()
+
+    @pytest.mark.parametrize("d", [3, 32])
+    @pytest.mark.parametrize("n", [2000, 2001, 5000])
+    def test_subsample_normalized_alone_keeps_the_bits(self, n, d):
+        # Only the sampled rows are normalized; a row's unit vector does not
+        # depend on the others, so gamma is the whole-input heuristic's.
+        train = np.random.default_rng(n + d).normal(size=(n, d)) * 3.0 + 0.5
+        flags = cli._default_gamma(argparse.Namespace(gamma=None), ["corp"], train)
+        whole = median_heuristic_gamma(normalize_rows(train))
+        assert flags.gamma.hex() == whole.hex()
+
+    @pytest.mark.parametrize("row", [1, 2], ids=["not-sampled", "sampled"])
+    def test_zero_row_fails_whether_or_not_it_is_sampled(self, tmp_path, capsys,
+                                                         row):
+        # Of 5000 rows the strided subsample takes row 2 but not row 1; a
+        # zero row fails the fit either way, before a gamma is printed.
+        train = np.random.default_rng(9).normal(size=(5000, 8))
+        train[row] = 0.0
+        assert featmap._heuristic_rows(5000)[:2].tolist() == [0, 2]
+        path = tmp_path / "train.oodf"
+        fileio.save_features(path, train)
+        out = tmp_path / "m.oodm"
+        assert run("fit", "--train", path, "--method", "corp", "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"data error: features row {row} has zero norm"
+        assert "gamma defaulted" not in captured.out
+        assert not out.exists()
 
 
 class TestModelRoundTripThroughCli:

@@ -319,6 +319,30 @@ class TestMedianHeuristic:
 
         check()
 
+    def test_bits_match_reference_at_block_edges(self, monkeypatch):
+        # Block sizes set so that the last block is a single row (n - 2 rows
+        # a block), or one block holds every row with no row to spare; the
+        # outer sum is made 1 to 3 rows at a time.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(n=st.integers(3, 40), d=st.integers(1, 6),
+                          spare=st.sampled_from([1, 0]), part=st.integers(1, 3),
+                          ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+        def check(n, d, spare, part, ties, seed):
+            rows = n - 1 - spare
+            monkeypatch.setattr(featmap, "_BLOCK_BYTES", 8 * n * rows)
+            monkeypatch.setattr(featmap, "_OUTER_SUM_BYTES", 8 * n * part)
+            x = np.random.default_rng(seed).normal(size=(n, d))
+            if ties:
+                x = np.round(x, 0)
+            expected = _gamma_or_error(_median_gamma_reference, x)
+            assert _gamma_or_error(median_heuristic_gamma, x) == expected
+
+        check()
+
 
 def _gamma_or_error(heuristic, x):
     try:

@@ -814,6 +814,7 @@ def _parity_cases():
     empty = "non-empty"
     non_finite = NonFiniteError, "features contains NaN or Inf"
     complex_ = DataError, "features must be real, got dtype complex128"
+    not_numeric = DataError, "features must be numeric, got None"  # not NaN
     good = {
         "float64": x, "float32": x.astype(np.float32),
         "int64": (10 * x).astype(np.int64), "float16": x.astype(np.float16),
@@ -825,7 +826,7 @@ def _parity_cases():
     }
     bad = {
         "1-D": (np.ones(4), shape((4,))),
-        "0-D": (np.array(1.0), shape((1,))),  # the gate's array is at least 1-D
+        "0-D": (np.array(1.0), shape(())),  # the shape passed, not the gate's 1-D
         "3-D": (np.ones((2, 2, 2)), shape((2, 2, 2))),
         "0-rows": (np.ones((0, 4)), shape((0, 4), empty)),
         "0-cols": (np.ones((4, 0)), shape((4, 0), empty)),
@@ -835,13 +836,14 @@ def _parity_cases():
         "nan-in-later-block": (later, non_finite),
         "strings": ([["a", "b"]], (ValueError, None)),
         "ragged": ([[1.0, 2.0], [3.0]], (ValueError, None)),
-        "none": (None, shape((1,))),
+        "none": (None, not_numeric),
         "complex-array": (x + 1j, complex_),
         "complex-list": ([[1 + 2j, 3.0]], complex_),
-        "object-array": (np.array([[1.0, None]], dtype=object), non_finite),
+        "object-array": (np.array([[1.0, None]], dtype=object), not_numeric),
         "1-D-list": ([1.0, 2.0], shape((2,))),
         "empty-list": ([], shape((0,))),
         "nan-list": ([[1.0, float("nan")]], non_finite),
+        "none-in-list": ([[1.0, None]], not_numeric),
     }
     cases = {k: (v, None, None) for k, v in good.items()}
     cases.update({k: (v, err, err) for k, (v, err) in bad.items()})

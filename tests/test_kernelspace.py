@@ -89,6 +89,21 @@ class TestGram:
         assert peak <= 1.25 * n * n * 8, peak / (n * n * 8)
 
 
+class TestKernelClamp:
+    @pytest.mark.parametrize("gamma", [0.26, 2.0, 7.5])
+    def test_bits_of_the_clip_expression(self, gamma):
+        # Inner products at and past +-1 (where 2 - 2 a.b rounds to 0 or
+        # below it), tiny ones and random ones; np.maximum must give
+        # np.clip's bits.
+        special = np.array([1.0, -1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 0.0, -0.0,
+                            1e-300, -1e-300, 1.0 + 2.0**-50, -1.0 - 2.0**-52])
+        dots = np.concatenate([special,
+                               np.random.default_rng(5).uniform(-1.1, 1.1, 20000)])
+        expected = np.exp(-gamma * np.clip(2.0 - 2.0 * dots, 0.0, None))
+        got = kernelspace._kernel("gaussian", gamma, dots.copy())
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestThreePointOracle:
     """Unit-circle points at 0, 90, 180 degrees; K worked by brute force."""
 

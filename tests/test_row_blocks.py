@@ -1,12 +1,13 @@
 """Row-blocked fit and batch scoring: block invariance and bounded memory."""
 
+import argparse
 import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kpca_ood import baselines, linalg
+from kpca_ood import baselines, cli, featmap, linalg
 from kpca_ood.baselines import build_knn, knn_score, reg_pca_error
 from kpca_ood.detector import fit, score_reconstruction, score_residual
 from kpca_ood.errors import DimMismatchError, NonFiniteError, ZeroVectorError
@@ -446,6 +447,24 @@ class TestBoundedMemory:
         assert allowed < n_small * 8 * d_in / 2
         assert growth <= allowed, (growth, allowed)
         assert row_norms(large)[1].tolist() == [5, n_small + 7]
+
+    def test_default_gamma(self, monkeypatch):
+        # The CLI default checks every row's norm but normalizes only the
+        # heuristic's subsample, so nothing N x d_in is made. A 200-row
+        # subsample keeps the heuristic's own pair buffer below the size of
+        # such a copy, so a copy would set the peak.
+        monkeypatch.setattr(featmap, "MEDIAN_HEURISTIC_ROWS", 200)
+        d_in, n_small = 64, 10_000
+        rng = np.random.default_rng(48)
+        small = rng.normal(size=(n_small, d_in))
+        large = rng.normal(size=(2 * n_small, d_in))
+        flags = argparse.Namespace(gamma=None)
+        growth = (_traced_peak(lambda: cli._default_gamma(flags, ["corp"], large))
+                  - _traced_peak(lambda: cli._default_gamma(flags, ["corp"], small)))
+        allowed = n_small * 8 * self.VECTORS + self.SLACK
+        # A normalized copy of the whole input would grow by n_small * 8 * d_in.
+        assert allowed < n_small * 8 * d_in / 2
+        assert growth <= allowed, (growth, allowed)
 
     def test_median_heuristic_gamma(self):
         # The 2000-row subsample's pair distances, plus two row blocks of
