@@ -19,19 +19,22 @@ one zero-norm rule, for this module and for its callers elsewhere.
 
 The Fourier stage's cosine (``_scaled_cos``) is a table cosine: float64
 ``np.cos`` is scalar libm, several times the cost of the rest of the map.
-With h = 2*pi/4096, t = n*h + r, n = rint(t/h), r is reduced exactly by a
-three-part Cody-Waite split of h, and
+With h = 2*pi/4096, t = n*h + r, n = rint(t/h), r is reduced by a
+two-part Cody-Waite split of h, r = (t - n*h1) - n*h23 with h1 of 26
+significant bits (so n*h1 and the difference are exact) and h23 the
+rounded rest of h (its product adds at most about 1e-19 to r), and
 cos t = C[n mod 4096] cos r - S[n mod 4096] sin r with short polynomials
 for |r| <= pi/4096. sqrt(2/M) is folded into the tables, which are built
 on first use. The result is within about 1.1e-16 of cos t (one ulp of
 ``np.cos``). ``np.cos`` stays where it is faster, on arrays of fewer than
-4096 elements (every single-row query), and where the reduction would not
-be exact, on any chunk holding an |t| >= 1e5 or a non-finite t.
+4096 elements (every single-row query), and where the reduction would
+lose accuracy, on any chunk holding an |t| >= 1e5 or a non-finite t.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +59,19 @@ COSINE_STAGE = "cosine"
 # The Fourier stage's table cosine (``_scaled_cos``). The table holds the
 # cosine and sine of k * STEP, STEP = 2*pi/4096, and STEP = STEP1 + STEP2 +
 # STEP3 (to about 1e-36) with STEP1 and STEP2 of 26 significant bits each.
+# The reduction uses STEP1 and STEP23 = fl(STEP2 + STEP3).
 _TABLE_SIZE = 4096
 _INV_STEP = 651.8986469044033  # 4096 / (2*pi)
 _STEP1 = 0.001533980801468715
 _STEP2 = -1.3583073901757281e-11
 _STEP3 = 5.979720698961686e-20
-# |t| < 1e5 keeps |n| < 2**26, so n * STEP1 and n * STEP2 are exact.
+_STEP23 = _STEP2 + _STEP3
+# |t| < 1e5 keeps |n| < 2**26, so n * STEP1 is exact, and n * STEP23 is
+# below 1e-3, so its rounding is below 1.1e-19.
 _TABLE_MAX_ARG = 1e5
 # Below this many elements np.cos is faster than the table's fixed cost.
 _TABLE_MIN_SIZE = 4096
-# Elements per pass of the table path: its seven temporaries fit in L2.
+# Elements per pass of the table path: its temporaries fit in L2.
 _TABLE_CHUNK = 16384
 
 
@@ -179,50 +185,49 @@ def _scaled_cos(t: np.ndarray, m: int) -> np.ndarray:
 
     The table cosine of the module docstring, with
     cos r - 1 = r^2 (r^2/24 - 1/2) and sin r = r (1 - r^2/6), each to below
-    1e-17 for |r| <= pi/4096.
+    1e-17 for |r| <= pi/4096. The polynomials are formed in the output
+    chunk, which holds t only until r is reduced.
     """
     if t.size < _TABLE_MIN_SIZE:
         np.cos(t, out=t)
-        t *= np.sqrt(2.0 / m)
+        t *= math.sqrt(2.0 / m)
         return t
     ctab, stab = _cos_tables(m)
     flat = t.reshape(-1)
     size = min(flat.size, _TABLE_CHUNK)
-    n, w, r, c, s = (np.empty(size) for _ in range(5))
+    n, r, c, s = (np.empty(size) for _ in range(4))
     k = np.empty(size, dtype=np.intp)
     for start in range(0, flat.size, _TABLE_CHUNK):
         x = flat[start : start + _TABLE_CHUNK]
         if not (x.min() > -_TABLE_MAX_ARG and x.max() < _TABLE_MAX_ARG):
             np.cos(x, out=x)
-            x *= np.sqrt(2.0 / m)
+            x *= math.sqrt(2.0 / m)
             continue
         if x.size < size:
-            n, w, r, c, s, k = (a[: x.size] for a in (n, w, r, c, s, k))
+            n, r, c, s, k = (a[: x.size] for a in (n, r, c, s, k))
         np.multiply(x, _INV_STEP, out=n)
         np.rint(n, out=n)
         np.copyto(k, n, casting="unsafe")
         np.bitwise_and(k, _TABLE_SIZE - 1, out=k)
         np.take(ctab, k, out=c, mode="clip")
         np.take(stab, k, out=s, mode="clip")
-        np.multiply(n, _STEP1, out=w)
-        np.subtract(x, w, out=r)
-        np.multiply(n, _STEP2, out=w)
-        r -= w
-        np.multiply(n, _STEP3, out=w)
-        r -= w
-        np.multiply(r, r, out=w)
+        np.multiply(n, _STEP1, out=r)
+        np.subtract(x, r, out=r)
+        n *= _STEP23
+        r -= n
+        w = np.multiply(r, r, out=n)
         # s * sin r
-        np.multiply(w, -1.0 / 6.0, out=n)
-        n += 1.0
-        n *= r
-        s *= n
+        np.multiply(w, -1.0 / 6.0, out=x)
+        x += 1.0
+        x *= r
+        s *= x
         # c * (cos r - 1) - s * sin r, added to c last
-        np.multiply(w, 1.0 / 24.0, out=n)
-        n -= 0.5
-        n *= w
-        n *= c
-        n -= s
-        np.add(c, n, out=x)
+        np.multiply(w, 1.0 / 24.0, out=x)
+        x -= 0.5
+        x *= w
+        x *= c
+        x -= s
+        x += c
     return t
 
 

@@ -38,10 +38,12 @@ preceding byte. Each file holds only the eigenbasis its scorer reads:
 
 The loader checks every header field rule first, so each keeps its own
 message, then the file's length and the checksum, and only then reads
-payload values; a damaged file raises FormatError. Version 1 (no trailer,
-no Gram flags byte, the covariance basis always U) still loads: a wide
-version-1 covariance model derives R from U by QR, and any version-1 Gram
-model holds A. Saving always writes version 2.
+payload values; a damaged file raises FormatError. A covariance model that
+scores through R but holds U (q >= D/3 in any version-1 file, and
+D/3 <= q <= D/2 in version 2) derives R from U by QR on load, as its fit
+did. Version 1 (no trailer, no Gram flags byte, the covariance basis always
+U) still loads, and any version-1 Gram model holds A. Saving always writes
+version 2.
 
 Scores CSV: header "index,score", one row per scored input, values
 rendered with 17 significant digits so parsing returns the exact written

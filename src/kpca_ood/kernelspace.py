@@ -6,8 +6,9 @@ norm of its kernel vector projected onto the l trailing eigenvectors A
 (the ones with the smallest eigenvalues), negated, so a lower norm reads as
 more in-distribution. [V A], with V the q = N - l leading eigenvectors, is
 an orthonormal eigenbasis, so ||A^T k|| = ||k - V V^T k||: a fit keeps V
-when 2q < l and A otherwise, and the scorer reads whichever the model holds
-through ``linalg._residual_norms``, the residual routine of both paths.
+when 2q < l and A otherwise (``linalg._through_kept``, the orientation rule
+of both paths), and the scorer reads whichever the model holds through
+``linalg._residual_norms``, the residual routine of both paths.
 
 Both supported kernels operate on unit-normalized rows: "cosine" is the
 plain inner product after normalization, "gaussian" applies
@@ -30,7 +31,7 @@ import numpy as np
 from .detector import DEFAULT_EVR, choose_q
 from .errors import InvalidBandwidthError, InvalidSpecError
 from .featmap import normalize_rows
-from .linalg import _residual_norms, sym_eig
+from .linalg import _residual_norms, _through_kept, sym_eig
 
 COSINE_KERNEL = "cosine"
 GAUSSIAN_KERNEL = "gaussian"
@@ -129,7 +130,7 @@ def fit_kernelspace(
             stacklevel=2,
         )
         l = 1
-    leading = 2 * (n - l) < l
+    leading = _through_kept(n - l, n)
     vectors = eig.eigenvectors[:, : n - l] if leading else eig.eigenvectors[:, n - l :]
     vectors = np.ascontiguousarray(vectors)
     return KernelSpaceModel(

@@ -25,7 +25,8 @@ temporaries of block x width rather than N x width. Each of them calls the
 gate on every block, not on its whole input, so a float32 input is upcast
 to float64 one block at a time. ``_residual_norms`` is the one residual
 routine on them: every eigenbasis scorer (covariance U, R and residual
-basis; Gram V and A) takes its per-row error from it.
+basis; Gram V and A) takes its per-row error from it, through the basis
+that ``_through_kept`` finds cheaper.
 """
 
 from __future__ import annotations
@@ -144,12 +145,25 @@ def _row_blocks(fn, x, width: int, fold=None):
     return acc if fold is not None else np.concatenate(parts)
 
 
+def _through_kept(kept: int, width: int) -> bool:
+    """Whether a residual costs fewer multiply-adds through the kept basis.
+
+    ||y - V V^T y|| through the kept basis V (width x kept) is two GEMMs,
+    2 * kept multiply-adds per entry of a row y; ||P^T y|| through an
+    orthonormal basis P of V's complement is one GEMM, width - kept per
+    entry. Both the covariance and the Gram path choose their orientation
+    by this rule.
+    """
+    return 2 * kept < width - kept
+
+
 def _residual_norms(features, x, basis: np.ndarray, kept: bool, offset=None):
     """Per-row norm of the part of each feature row y outside a subspace.
 
     ``features`` maps a row block of ``x`` to y, an array it made. With
     ``kept``, ``basis`` V spans the subspace: ||y - V V^T y||, in place on y.
     Otherwise ``basis`` P spans (part of) its complement: ||P^T y - offset||.
+    ``_through_kept`` tells which of the two costs less.
     """
 
     def block(rows):

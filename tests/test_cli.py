@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kpca_ood
-from kpca_ood import cli, featmap, fileio, linalg
+from kpca_ood import cli, errors, featmap, fileio, linalg
 from kpca_ood.baselines import reg_pca_error
 from kpca_ood.cli import build_parser, main
 from kpca_ood.detector import score_reconstruction, score_residual
@@ -968,3 +968,64 @@ class TestUnreachedCliPaths:
         x = fileio.load_features(ood)
         residual, reconstruction = score_residual(model, x), score_reconstruction(model, x)
         np.testing.assert_allclose(residual, reconstruction, rtol=1e-12, atol=0.0)
+
+
+def _error_classes():
+    """Every exception class kpca_ood.errors defines."""
+    return [
+        obj for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+        and obj.__module__ == errors.__name__
+    ]
+
+
+# The exit code the cli module docstring documents for each class: 1 usage,
+# 2 data/format, 3 numerical. Errors of the package outside both families,
+# ValueError and OSError count as data errors.
+_EXIT_CODES = {
+    cli.UsageError: 1,
+    ValueError: 2,
+    OSError: 2,
+    errors.KpcaOodError: 2,
+    errors.DataError: 2,
+    errors.InvalidRangeError: 2,
+    errors.ZeroVectorError: 2,
+    errors.DimMismatchError: 2,
+    errors.MissingResidualBasisError: 2,
+    errors.KTooLargeError: 2,
+    errors.LengthMismatchError: 2,
+    errors.IndexMismatchError: 2,
+    errors.EmptyScoresError: 2,
+    errors.InvalidSpecError: 2,
+    errors.FormatError: 2,
+    errors.NumericalError: 3,
+    errors.NonSymmetricError: 3,
+    errors.NonFiniteError: 3,
+    errors.InvalidBandwidthError: 3,
+    errors.DegenerateSpectrumError: 3,
+    errors.AllZeroSpectrumError: 3,
+}
+
+
+def _instance(cls):
+    if cls is errors.ZeroVectorError:
+        return cls("features", 4)
+    return cls("boom")
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_class(self):
+        assert set(_error_classes()) < set(_EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", list(_EXIT_CODES), ids=lambda c: c.__name__)
+    def test_raised_from_a_command(self, monkeypatch, capsys, tmp_path, cls):
+        exc = _instance(cls)
+
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_eval", raising)
+        assert run("eval", "--ind", tmp_path / "a.csv", "--ood", tmp_path / "b.csv") == (
+            _EXIT_CODES[cls]
+        )
+        assert capsys.readouterr().err.endswith(f"{exc}\n")

@@ -236,9 +236,10 @@ def _spec(kind, d, rng):
 
 
 class TestNarrowProjection:
-    """Models with q > D - q score through the derived complement."""
+    """Models with 2q >= D - q score through the derived complement."""
 
     def test_complement_present_iff_wider_basis(self):
+        # Through U a row costs 2q multiply-adds per feature, through R D - q.
         rng = np.random.default_rng(11)
         seen = set()
         for trial in range(60):
@@ -247,8 +248,8 @@ class TestNarrowProjection:
             x = rng.normal(size=(int(rng.integers(d + 2, 60)), d))
             model = fit(x, spec, evr_target=float(rng.uniform(0.2, 1.0)))
             big_d, q = model.basis.shape
-            wide = 2 * q > big_d
-            seen.add(wide)
+            wide = 3 * q >= big_d
+            seen.add((wide, 2 * q > big_d))
             if not wide:
                 assert model.complement is None
                 continue
@@ -257,7 +258,8 @@ class TestNarrowProjection:
             assert r.flags.c_contiguous
             assert np.max(np.abs(r.T @ r - np.eye(big_d - q)), initial=0.0) <= 1e-12
             assert np.max(np.abs(model.basis.T @ r), initial=0.0) <= 1e-12
-        assert seen == {False, True}
+        # U, R with a file that holds U (D/3 <= q <= D/2), R held as R.
+        assert seen == {(False, False), (True, False), (True, True)}
 
     def test_matches_explicit_projection(self):
         rng = np.random.default_rng(12)
@@ -305,6 +307,49 @@ class TestNarrowProjection:
             wide_err = max(wide_err, float(np.max(np.abs(wide - ref) / ref)))
         assert narrow_err <= 1.5 * wide_err
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("kind, evr", [
+        ("identity", 0.6), ("cosine", 0.6), ("rff", 0.9),
+    ])
+    def test_u_and_r_within_bound_of_long_double(self, kind, evr):
+        # A model with D/3 <= q <= D/2 scores through R. Both orientations
+        # are within k * eps * ||c|| (U) and k * eps * (||phi|| + ||mu||)
+        # (R, which folds R^T mu in) of the exact error, with
+        # k = sqrt(D) + 1 (see reconstruction_errors). Rows near the
+        # subspace have residuals about 1e-7 of their norm.
+        eps = np.finfo(np.float64).eps
+        rng = np.random.default_rng(17)
+        d = 24
+        spec = {
+            "identity": identity_spec(d),
+            "cosine": cosine_spec(d),
+            "rff": cosine_rff_spec(rff_build("gaussian", 0.3, 4 * d, d, seed=5)),
+        }[kind]
+        x = rng.normal(size=(900, d)) * np.linspace(1.0, 3.0, d) + 0.5
+        train, queries = x[:600], x[600:]
+        model = fit(train, spec, evr_target=evr)
+        big_d, q = model.basis.shape
+        assert 3 * q >= big_d and 2 * q <= big_d
+        phi = map_apply(spec, queries)
+        u, mu = model.basis, model.mean
+        near = mu + ((phi - mu) @ u) @ u.T + 1e-7 * rng.normal(size=phi.shape)
+        for y in (phi, near):
+            c = y - mu
+            cl, ul = c.astype(np.longdouble), u.astype(np.longdouble)
+            ref = np.sqrt(np.sum((cl - (cl @ ul) @ ul.T) ** 2, axis=1))
+            through_u = linalg._residual_norms(lambda r: r - mu, y, u, True)
+            through_r = linalg._residual_norms(
+                lambda r: r.copy(), y, model.complement, False, model.complement_mean
+            )
+            if y is phi:
+                assert np.array_equal(-score_reconstruction(model, queries), through_r)
+            k = np.sqrt(big_d) + 1.0
+            c_norm = np.linalg.norm(c, axis=1)
+            phi_mu = np.linalg.norm(y, axis=1) + np.linalg.norm(mu)
+            assert np.all(np.abs(through_u - ref) <= k * eps * c_norm)
+            assert np.all(np.abs(through_r - ref) <= k * eps * phi_mu)
+
     @pytest.mark.parametrize("evr", [0.3, 0.99])
     def test_validates_once_per_call(self, monkeypatch, evr):
         rng = np.random.default_rng(13)
@@ -350,7 +395,8 @@ class TestInputsUnchanged:
     @pytest.mark.parametrize("evr", [0.3, 0.99])
     def test_covariance_scorers(self, kind, evr):
         rng = np.random.default_rng(15)
-        d = 6
+        # Wide enough that evr 0.3 keeps q < D/3, so both orientations run.
+        d = 8
         model = fit(rng.normal(size=(50, d)), _spec(kind, d, rng),
                     evr_target=evr, store_residual=True)
         assert (model.complement is not None) == (evr == 0.99)

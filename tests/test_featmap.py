@@ -453,6 +453,26 @@ class TestTableCosine:
         assert float(np.max(np.abs(got - ref))) <= 1.5e-16
         assert float(np.max(np.abs(got - np.cos(t)))) <= 2.3e-16
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="long double is no wider than double here")
+    def test_error_at_reduction_edges(self):
+        # t at (n +- 1/2) * STEP, where rint(t / STEP) may land on either
+        # side and |r| is largest, for small n and for n near the range
+        # guard, and t just below 1e5; both signs. M = 2 makes the scale 1.
+        step = 2 * np.pi / featmap._TABLE_SIZE
+        n = np.concatenate([np.arange(0, 2000), np.arange(65_100_000, 65_102_000)])
+        half = (n + 0.5) * step
+        guard = np.nextafter(featmap._TABLE_MAX_ARG, 0.0)
+        below = guard - 0.37 * np.arange(2000)
+        t = np.concatenate([half, np.nextafter(half, 0.0), np.nextafter(half, np.inf),
+                            below])
+        t = np.concatenate([t, -t])
+        t = t[np.abs(t) < featmap._TABLE_MAX_ARG]
+        assert t.size >= 2 * 14_000
+        got = _scaled_cos(t, 2)
+        ref = np.cos(t.astype(np.longdouble))
+        assert float(np.max(np.abs(got - ref))) <= 1.5e-16
+
     @pytest.mark.parametrize("m", [2, 100, 256])
     def test_within_two_ulps_of_scaled_np_cos(self, m):
         # The table folds sqrt(2/m) in; scaled values are below sqrt(2/m).

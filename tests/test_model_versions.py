@@ -1,4 +1,4 @@
-"""Version-2 model files: the stored basis, sizes, no QR on load, and the
+"""Version-2 model files: the stored basis, sizes, QRs on load, and the
 version-1 files under tests/data/v1 (see its README)."""
 
 from pathlib import Path
@@ -21,14 +21,17 @@ def _scores(model, x):
     return score_reconstruction(model, x)
 
 
-def _wide(model) -> bool:
+def _through_r(model) -> bool:
     return isinstance(model, DetectorModel) and model.complement is not None
 
 
 class TestVersion1Files:
     def test_fixtures_cover_both_orientations(self):
         models = {name: load_model(V1 / f"{name}.oodm") for name in FIXTURES}
-        assert {name for name, m in models.items() if _wide(m)} == {"corp-wide"}
+        # Each scores through R when 3q >= D; only corp-wide (2q > D) holds R.
+        assert {name for name, m in models.items() if _through_r(m)} == {
+            "pca", "cop", "colp", "corp-wide"
+        }
         assert models["corp-residual"].residual_basis is not None
         # kcos would hold the leading vectors if refitted (2q < l); kgau not.
         for name, leading in (("kcos", True), ("kgau", False)):
@@ -42,10 +45,11 @@ class TestVersion1Files:
         idx, want = load_scores(V1 / f"{name}.csv")
         got = _scores(model, load_features(V1 / "queries.oodf"))
         assert np.array_equal(idx, np.arange(got.size))
-        if not _wide(model):
+        if not _through_r(model):
             assert np.array_equal(got, want)
         else:
-            # R^T mu folded into the projection moves the last bits.
+            # These files were scored through U, or with R^T mu unfolded;
+            # the R orientation moves the last bits.
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
     @pytest.mark.parametrize("name", FIXTURES)
@@ -118,6 +122,35 @@ class TestStoredBasis:
         # A version-1 file holds U, so a wide one still derives R by QR.
         load_model(V1 / "corp-wide.oodm")
         assert len(calls) == 1
+
+    def test_mid_width_model_holds_u_and_derives_r_once(self, tmp_path, monkeypatch):
+        # D/3 <= q <= D/2: the file holds U, and the model scores through
+        # R, which loading derives with the fit's one QR.
+        rng = np.random.default_rng(21)
+        rff = rff_build("gaussian", 0.7, 24, 5, seed=3)
+        model = fit(rng.normal(size=(80, 5)), cosine_rff_spec(rff), evr_target=0.85)
+        d, q = model.feature_dim, model.q
+        assert 3 * q >= d and 2 * q <= d
+        assert model.complement is not None
+        p = tmp_path / "m.oodm"
+        save_model(p, model)
+        header = 6 + 21 + 25 + 8 * (24 * 5 + 24)
+        assert p.stat().st_size == header + 8 * (2 * d + d * q) + 4
+        calls = []
+        qr = np.linalg.qr
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        back = load_model(p)
+        assert len(calls) == 1
+        assert back.basis.tobytes() == model.basis.tobytes()
+        assert back.complement.tobytes() == model.complement.tobytes()
+        assert back.complement_mean.tobytes() == model.complement_mean.tobytes()
+        x = rng.normal(size=(9, 5))
+        assert np.array_equal(score_reconstruction(back, x), score_reconstruction(model, x))
 
     def test_model_built_from_r_alone(self):
         rng = np.random.default_rng(24)

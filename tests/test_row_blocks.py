@@ -120,7 +120,8 @@ class TestBlockInvariance:
     @pytest.mark.parametrize("evr", [0.3, 0.99])
     def test_covariance_scores_match_one_block(self, monkeypatch, kind, evr):
         rng = np.random.default_rng(31)
-        d = 6
+        # Wide enough that evr 0.3 keeps q < D/3, so both orientations run.
+        d = 8
         model = fit(rng.normal(size=(60, d)), _spec(kind, d), evr_target=evr,
                     store_residual=True)
         assert (model.complement is not None) == (evr == 0.99)
