@@ -12,6 +12,8 @@ distance matrix is formed. Tiles start at multiples of the tile width
 max(_KNN_TILE, _BLOCK_BYTES / (8 * block rows)), and the last tile takes
 the remainder, so the one tile alive at a time holds fewer than twice
 that many similarities per block row, whatever the number of stored rows.
+The tiles of a call of several row blocks share one array
+(``linalg._Workspace``).
 
 MSP takes the maximum softmax probability and the energy score the
 log-sum-exp of a logits row, both computed max-shifted so huge logits
@@ -74,24 +76,33 @@ def knn_score(scorer: KnnScorer, x) -> np.ndarray:
             return sims.max(axis=1)
         if sims.shape[1] > k:
             sims.partition(-k, axis=1)
-        # A copy: a view would keep the whole tile alive.
+        # A copy: a view would keep the whole tile alive, or would be
+        # overwritten by the next tile of the call's workspace.
         return sims[:, -k:].copy()
+
+    n = train.shape[0]
+    work = linalg._Workspace()
 
     def block(rows):
         q = normalize_rows(rows, dim=train.shape[1])
-        width = max(_KNN_TILE, linalg._BLOCK_BYTES // (8 * q.shape[0]) // 64 * 64)
+        m = q.shape[0]
+        width = max(_KNN_TILE, linalg._BLOCK_BYTES // (8 * m) // 64 * 64)
         # A remainder narrower than a tile joins the tile before it.
-        last = max(train.shape[0] - width, 0) // width * width
+        last = max(n - width, 0) // width * width
+        # One flat array holds every tile of the call: a tile of a block of
+        # m <= work.rows rows is at most min(n, 2 * width - 1) wide, and
+        # m * width <= max(m * _KNN_TILE, _BLOCK_BYTES // 8).
+        room = min(work.rows * n,
+                   2 * max(work.rows * _KNN_TILE, linalg._BLOCK_BYTES // 8))
         best = None
         for start in range(0, last + 1, width):
-            stop = train.shape[0] if start == last else start + width
-            # Each tile is freed when top_k returns, before the next is made.
-            top = top_k(q @ train[start:stop].T)
+            stop = n if start == last else start + width
+            top = top_k(work.matmul("tiles", q, train[start:stop].T, room))
             best = top if best is None else top_k(np.column_stack([best, top]))
         return best if k == 1 else best.min(axis=1)
 
     # unit rows on both sides: ||a-b||^2 = 2 - 2 a.b
-    kth = 2.0 - 2.0 * _row_blocks(block, x, _KNN_TILE)
+    kth = 2.0 - 2.0 * _row_blocks(block, x, _KNN_TILE, work=work)
     np.maximum(kth, 0.0, out=kth)
     return -np.sqrt(kth)
 

@@ -53,7 +53,7 @@ from .errors import (
     DegenerateSpectrumError,
     MissingResidualBasisError,
 )
-from .featmap import FeatureMapSpec, map_apply
+from .featmap import IDENTITY_STAGE, FeatureMapSpec, map_apply
 from .linalg import _residual_norms, _row_blocks, _through_kept, sym_eig
 
 # Total variance below this means every mapped row is identical.
@@ -145,11 +145,14 @@ def choose_q(eigenvalues, evr_target: float) -> int:
     return min(int(np.searchsorted(ratios, evr_target, side="left")) + 1, positive)
 
 
-def _moments(phi: np.ndarray):
-    """Row count, mean and scatter about the mean of one block of mapped rows."""
+def _moments(phi: np.ndarray, own: bool):
+    """Row count, mean and scatter about the mean of one block of mapped rows.
+
+    ``phi`` is centered in place when it is ``own``, an array the map made;
+    with the identity map it can be the caller's own rows.
+    """
     mu = phi.mean(axis=0)
-    # Not in place: with the identity map, phi is the caller's own rows.
-    centered = phi - mu
+    centered = np.subtract(phi, mu, out=phi if own else None)
     return phi.shape[0], mu, centered.T @ centered
 
 
@@ -185,8 +188,9 @@ def fit(
     """
     if not 0.0 < evr_target <= 1.0:
         raise ValueError(f"evr_target must be in (0, 1], got {evr_target}")
+    own = map_spec.stages[0] != IDENTITY_STAGE
     n, mu, scatter = _row_blocks(
-        lambda rows: _moments(map_apply(map_spec, rows)),
+        lambda rows: _moments(map_apply(map_spec, rows), own),
         train, map_spec.output_dim, fold=_merge_moments,
     )
     if n < 2:

@@ -18,7 +18,8 @@ centered variant lives in the test suite as a spectral cross-check, not in
 the scoring path. Storing the full training matrix makes this path
 intentionally heavy: per-query cost grows linearly with the training size,
 and so does scoring memory, as block x N_tr cross-kernel temporaries for
-row blocks of the queries (``linalg._row_blocks``), never N x N_tr.
+row blocks of the queries (``linalg._row_blocks``), never N x N_tr. The
+blocks of one call share them (``linalg._Workspace``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .detector import DEFAULT_EVR, choose_q
 from .errors import InvalidBandwidthError, InvalidSpecError
 from .featmap import normalize_rows
-from .linalg import _residual_norms, _through_kept, sym_eig
+from .linalg import _residual_norms, _through_kept, _Workspace, sym_eig
 
 COSINE_KERNEL = "cosine"
 GAUSSIAN_KERNEL = "gaussian"
@@ -154,11 +155,12 @@ def score_kernelspace(model: KernelSpaceModel, x) -> np.ndarray:
     size.
     """
     train = model.train
+    work = _Workspace()
 
     def kernel_rows(rows):
         xn = normalize_rows(rows, dim=train.shape[1])
-        return _kernel(model.kernel_kind, model.gamma, xn @ train.T)
+        return _kernel(model.kernel_kind, model.gamma, work.matmul("kernel", xn, train.T))
 
     if model.residual_vectors is None:
-        return -_residual_norms(kernel_rows, x, model.leading_vectors, True)
-    return -_residual_norms(kernel_rows, x, model.residual_vectors, False)
+        return -_residual_norms(kernel_rows, x, model.leading_vectors, True, work=work)
+    return -_residual_norms(kernel_rows, x, model.residual_vectors, False, work=work)

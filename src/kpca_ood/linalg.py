@@ -27,6 +27,18 @@ to float64 one block at a time. ``_residual_norms`` is the one residual
 routine on them: every eigenbasis scorer (covariance U, R and residual
 basis; Gram V and A) takes its per-row error from it, through the basis
 that ``_through_kept`` finds cheaper.
+
+The Gram scorer and knn allocate their large block temporaries once per
+call, not once per block: a ``_Workspace`` holds them for the call, every
+block writes into the same arrays, and the last, shorter block into their
+leading rows. Memory the allocator handed back between blocks would be
+paged in again by the next block, which cost about half the time of a
+Gram-path score. An input that fits in one block (every single-row query)
+is the exception: it is passed whole, the workspace hands out nothing and
+numpy allocates as it would without one. No block result is a view of
+the workspace, and nothing outlives the call. The covariance paths keep
+per-block arrays, because their widest one comes from the map: arrays
+kept beside it for the call would only add to each block's peak.
 """
 
 from __future__ import annotations
@@ -113,17 +125,51 @@ def _block_rows(width: int) -> int:
     return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * width))
 
 
-def _row_blocks(fn, x, width: int, fold=None):
+class _Workspace:
+    """The large temporaries of one batch call, shared by its row blocks.
+
+    ``_row_blocks`` opens it for its block height ``rows`` before the first
+    of several blocks. Until then (an input that fits in one block)
+    ``matmul`` is plain ``a @ b``. Once opened, ``matmul`` writes a @ b
+    into the leading elements of the call's flat array ``key``, made on its
+    first use with ``room`` elements, by default ``rows`` x the product's
+    width, so a shorter block takes the leading rows of the same array.
+    """
+
+    rows = 0
+
+    def open(self, rows: int) -> None:
+        self.rows, self._arrays = rows, {}
+
+    def matmul(self, key: str, a: np.ndarray, b: np.ndarray, room: int | None = None):
+        if not self.rows:
+            return a @ b
+        n, cols = a.shape[0], b.shape[1]
+        flat = self._arrays.get(key)
+        if flat is None:
+            flat = self._arrays[key] = np.empty(
+                self.rows * cols if room is None else room
+            )
+        return np.matmul(a, b, out=flat[: n * cols].reshape(n, cols))
+
+
+def _matmul(key: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_Workspace.matmul`` without a workspace: a @ b."""
+    return a @ b
+
+
+def _row_blocks(fn, x, width: int, fold=None, work: _Workspace | None = None):
     """Apply ``fn`` to consecutive row blocks of ``x`` and combine the results.
 
     A block has max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * width)) rows,
     where ``width`` is the number of columns of the widest temporary ``fn``
     makes. An input that fits in one block, or is not 2-D, goes to ``fn``
-    whole and its result is returned as is, with no copy. Otherwise the
-    block results are concatenated along rows or, given ``fold``, combined
-    left to right as fold(acc, result), so only one is held at a time. A
-    ZeroVectorError naming a row of a block is re-raised with the row's
-    index in ``x``.
+    whole and its result is returned as is, with no copy. Otherwise ``work``
+    (the workspace ``fn`` takes its temporaries from, if any) is sized for
+    the blocks, and the block results are concatenated along rows or, given
+    ``fold``, combined left to right as fold(acc, result), so only one is
+    held at a time. A ZeroVectorError naming a row of a block is re-raised
+    with the row's index in ``x``.
     """
     x = np.asarray(x)
     # The first test settles small inputs, single rows included, cheaply.
@@ -132,6 +178,8 @@ def _row_blocks(fn, x, width: int, fold=None):
     rows = _block_rows(width)
     if x.shape[0] <= rows:
         return fn(x)
+    if work is not None:
+        work.open(rows)
     parts, acc = [], None
     for start in range(0, x.shape[0], rows):
         try:
@@ -157,26 +205,38 @@ def _through_kept(kept: int, width: int) -> bool:
     return 2 * kept < width - kept
 
 
-def _residual_norms(features, x, basis: np.ndarray, kept: bool, offset=None):
+def _residual_norms(
+    features, x, basis: np.ndarray, kept: bool, offset=None,
+    work: _Workspace | None = None,
+):
     """Per-row norm of the part of each feature row y outside a subspace.
 
     ``features`` maps a row block of ``x`` to y, an array it made. With
     ``kept``, ``basis`` V spans the subspace: ||y - V V^T y||, in place on y.
     Otherwise ``basis`` P spans (part of) its complement: ||P^T y - offset||.
-    ``_through_kept`` tells which of the two costs less.
+    ``_through_kept`` tells which of the two costs less. The norm squares y
+    in place, with the bits of ``_row_norms``.
+
+    ``work`` is the caller's workspace, from which ``features`` takes y; the
+    products here then take theirs from it too. Without one, each block
+    allocates its products, as ``features`` allocates y: kept for the call,
+    they could not share memory with the temporaries ``features`` frees, so
+    they would only raise every block's peak.
     """
+    matmul = _matmul if work is None else work.matmul
 
     def block(rows):
         y = features(rows)
         if kept:
-            y -= (y @ basis) @ basis.T
+            y -= matmul("product", matmul("kept", y, basis), basis.T)
         else:
-            y = y @ basis
+            y = matmul("projection", y, basis)
             if offset is not None:
                 y -= offset
-        return _row_norms(y)
+        y *= y
+        return np.sqrt(np.add.reduce(y, axis=1))
 
-    return _row_blocks(block, x, basis.shape[0])
+    return _row_blocks(block, x, basis.shape[0], work=work)
 
 
 @dataclass(eq=False)

@@ -1029,3 +1029,26 @@ class TestExitCodes:
             _EXIT_CODES[cls]
         )
         assert capsys.readouterr().err.endswith(f"{exc}\n")
+
+    @pytest.mark.parametrize(
+        "cls", [c for c in _error_classes() if issubclass(c, errors.KpcaOodError)],
+        ids=lambda c: c.__name__,
+    )
+    def test_code_follows_the_error_family(self, monkeypatch, capsys, tmp_path, cls):
+        # The expected code comes from the class tree, not from _EXIT_CODES:
+        # a class added to errors.py is checked without a new table row.
+        if issubclass(cls, errors.NumericalError):
+            expected = 3
+        else:
+            assert issubclass(cls, errors.DataError) or cls in (
+                errors.KpcaOodError, errors.MissingResidualBasisError)
+            expected = 2
+        exc = _instance(cls)
+
+        def raising(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_score", raising)
+        assert run("score", "--model", tmp_path / "m.oodm", "--features",
+                   tmp_path / "x.oodf", "--out", tmp_path / "s.csv") == expected
+        assert capsys.readouterr().err.endswith(f"{exc}\n")

@@ -2,11 +2,17 @@
 
 import argparse
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kpca_ood
 from kpca_ood import baselines, cli, featmap, linalg
 from kpca_ood.baselines import build_knn, knn_score, reg_pca_error
 from kpca_ood.detector import fit, score_reconstruction, score_residual
@@ -16,6 +22,7 @@ from kpca_ood.featmap import (
     cosine_rff_spec,
     cosine_spec,
     identity_spec,
+    map_apply,
     median_heuristic_gamma,
     normalize_rows,
     rff_build,
@@ -243,6 +250,177 @@ class TestBlockInvariance:
 
 def _close(got, whole):
     return bool(np.all(np.abs(got - whole) <= 1e-12 * np.maximum(1.0, np.abs(whole))))
+
+
+def _workspace_calls(d=8):
+    """Each batch path through a _Workspace, and its result as a tuple of
+    arrays; the covariance and Gram scorers in both orientations."""
+    rng = np.random.default_rng(31)
+    through_u = fit(rng.normal(size=(60, d)), _spec("cosine", d), evr_target=0.3)
+    through_r = fit(rng.normal(size=(60, d)), _spec("rff", d), evr_target=0.99,
+                    store_residual=True)
+    gram_v = fit_kernelspace(rng.normal(size=(25, d)), "gaussian", gamma=0.3,
+                             evr_target=0.8)
+    gram_a = fit_kernelspace(rng.normal(size=(25, d)), "gaussian", gamma=2.0,
+                             evr_target=0.95)
+    assert through_u.complement is None and through_r.complement is not None
+    assert gram_v.residual_vectors is None and gram_a.residual_vectors is not None
+    knn = {k: build_knn(rng.normal(size=(30, d)), k=k) for k in (1, 5)}
+    spec = _spec("rff", d)
+
+    def fitted(x):
+        model = fit(x, spec)
+        return model.mean, model.eigenvalues, model.basis, model.complement
+
+    return {
+        "covariance U": lambda x: (score_reconstruction(through_u, x),),
+        "covariance R": lambda x: (score_reconstruction(through_r, x),),
+        "residual basis": lambda x: (score_residual(through_r, x),),
+        "Gram V": lambda x: (score_kernelspace(gram_v, x),),
+        "Gram A": lambda x: (score_kernelspace(gram_a, x),),
+        "fit": fitted,
+        "knn k=1": lambda x: (knn_score(knn[1], x),),
+        "knn k=5": lambda x: (knn_score(knn[5], x),),
+    }
+
+
+def _one_block_reference(name, call, x):
+    """What the blocks of ``call(x)`` give as one-block calls of their own."""
+    blocks = [x[a : a + BLOCK] for a in range(0, x.shape[0], BLOCK)]
+    if name != "fit":
+        return (np.concatenate([call(rows)[0] for rows in blocks]),)
+    # The identity map centers a copy of each block's mapped rows: the bits
+    # that fit's in-place centering must give.
+    spec = _spec("rff", x.shape[1])
+    mapped = np.concatenate([map_apply(spec, rows) for rows in blocks])
+    model = fit(mapped, identity_spec(mapped.shape[1]))
+    return model.mean, model.eigenvalues, model.basis, model.complement
+
+
+class TestWorkspace:
+    """The row blocks of one call share its temporaries (linalg._Workspace),
+    and the last, shorter block takes their leading rows; no result may be a
+    view of them."""
+
+    @pytest.mark.parametrize("name", list(_workspace_calls()))
+    def test_blocks_give_the_one_block_bits(self, small_blocks, monkeypatch, name):
+        # Tiles of 4 stored rows, and a last one of 6: knn reshapes one flat
+        # array to tiles of two widths within each block.
+        monkeypatch.setattr(baselines, "_KNN_TILE", 4)
+        call = _workspace_calls()[name]
+        x = np.random.default_rng(53).normal(size=(N_ROWS, 8))
+        kept = x.copy()
+        got, want = call(x), _one_block_reference(name, call, x)
+        assert np.array_equal(x, kept)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name, keys", [
+        ("Gram V", {"kernel", "kept", "product"}),
+        ("Gram A", {"kernel", "projection"}),
+        ("knn k=1", {"tiles"}),
+    ])
+    def test_every_block_writes_into_the_workspace(self, small_blocks, monkeypatch,
+                                                   name, keys):
+        monkeypatch.setattr(baselines, "_KNN_TILE", 4)
+        written = []
+        matmul = linalg._Workspace.matmul
+
+        def spy(self, key, a, b, room=None):
+            out = matmul(self, key, a, b, room)
+            written.append((key, np.shares_memory(out, self._arrays[key])))
+            return out
+
+        monkeypatch.setattr(linalg._Workspace, "matmul", spy)
+        _workspace_calls()[name](np.random.default_rng(55).normal(size=(N_ROWS, 8)))
+        assert {key for key, _ in written} == keys
+        assert all(shared for _, shared in written)
+        blocks = -(-N_ROWS // BLOCK)
+        assert len(written) >= blocks * len(keys)
+
+    @pytest.mark.parametrize("name", list(_workspace_calls()))
+    def test_results_outlive_the_next_call(self, small_blocks, monkeypatch, name):
+        monkeypatch.setattr(baselines, "_KNN_TILE", 4)
+        call = _workspace_calls()[name]
+        rng = np.random.default_rng(54)
+        first = call(rng.normal(size=(N_ROWS, 8)))
+        copies = [None if a is None else a.copy() for a in first]
+        second = call(rng.normal(size=(N_ROWS, 8)))
+        for a, b, c in zip(first, second, copies):
+            if a is None:
+                continue
+            assert np.array_equal(a, c)
+            assert not np.shares_memory(a, b)
+
+
+_FAULTS = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from kpca_ood import linalg
+    from kpca_ood.baselines import build_knn, knn_score
+    from kpca_ood.detector import fit
+    from kpca_ood.featmap import cosine_rff_spec, rff_build
+    from kpca_ood.kernelspace import fit_kernelspace, score_kernelspace
+    from kpca_ood.synth import SynthSpec, generate
+
+    rng = np.random.default_rng(5)
+    name = sys.argv[1]
+    if name == "score_kernelspace":
+        # gram-kgau's model: 200 clustered rows, scored through V.
+        train = generate(SynthSpec(kind="sphere-cluster", n=200, dim=16, seed=11,
+                                   params={"clusters": 8.0}))[0]
+        model = fit_kernelspace(train, "gaussian", gamma=2.0, evr_target=0.9)
+        v = model.leading_vectors
+        rows = linalg._block_rows(200)
+        x = rng.normal(size=(8 * rows + 1, 16))
+        call = lambda: score_kernelspace(model, x)
+        # kernel rows, their product with V and V^T, and the product with V
+        workspace = rows * (2 * v.shape[0] + v.shape[1])
+    elif name == "fit":
+        spec = cosine_rff_spec(rff_build("gaussian", 0.5, 256, 64, seed=3))
+        rows = linalg._block_rows(256)
+        x = rng.normal(size=(8 * rows + 1, 64))
+        call = lambda: fit(x, spec)
+        workspace = rows * 256  # the mapped block, centered in place
+    else:
+        scorer = build_knn(rng.normal(size=(5000, 8)))
+        rows = linalg._block_rows(2048)
+        x = rng.normal(size=(8 * rows + 1, 8))
+        call = lambda: knn_score(scorer, x)
+        workspace = rows * 5000  # the tiles' flat array, at most
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    call()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(faults, 8 * workspace // resource.getpagesize())
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads Linux minor page-fault counts")
+class TestPageFaults:
+    """A call of several row blocks pages its temporaries in about once.
+
+    The second of two calls in a fresh process is counted, on an input of
+    more than 8 blocks. Arrays allocated anew for every block, which the
+    allocator hands back to the system between blocks, are paged in again
+    by each block: for the Gram scorer about 8 times one block's workspace.
+    Its workspace and knn's tiles are touched once per call, whatever the
+    allocator. fit still takes each mapped block from the map; centering it
+    in place leaves one such array alive at a time, which glibc reuses.
+    """
+
+    @pytest.mark.parametrize("name", ["score_kernelspace", "fit", "knn_score"])
+    def test_second_call_faults_under_three_workspaces(self, name):
+        src = str(Path(kpca_ood.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", _FAULTS, name], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        faults, pages = map(int, out.stdout.split())
+        assert faults < 3 * pages, (faults, pages)
 
 
 class TestBlockSplitProperty:
