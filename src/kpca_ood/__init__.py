@@ -61,7 +61,7 @@ from .metrics import (
     evaluate,
     fpr_at_tpr,
 )
-from .rng import make_prng, sample_cauchy, sample_gaussian, sample_uniform
+from .rng import make_prng
 from .synth import SynthSpec, generate
 
 __version__ = "0.1.0"

@@ -28,10 +28,6 @@ class NonFiniteError(NumericalError):
     """NaN or Inf encountered where finite values are required."""
 
 
-class InvalidRangeError(DataError):
-    """Uniform sampling range with lo >= hi."""
-
-
 class InvalidBandwidthError(NumericalError):
     """Kernel bandwidth gamma must be strictly positive."""
 

@@ -6,9 +6,10 @@ cosine scaling then random Fourier features (corp, colp), whose inner
 products approximate a shift-invariant kernel. Their frequencies are drawn
 per-coordinate N(0, sqrt(2*gamma)) for the squared-exponential kernel
 exp(-gamma*||a-b||_2^2) and Cauchy(scale=gamma) for the exponential-of-L1
-kernel exp(-gamma*||a-b||_1); phases are uniform on [0, 2*pi). A map is
-frozen once built: applying it is pure, and the stored frequencies/phases
-(not the seed) are authoritative.
+kernel exp(-gamma*||a-b||_1), the latter by the inverse-CDF transform
+gamma*tan(pi*(u-1/2)) of uniform u in ``rff_build``; phases are uniform on
+[0, 2*pi). A map is frozen once built: applying it is pure, and the stored
+frequencies/phases (not the seed) are authoritative.
 
 ``map_apply`` passes its input through the ingestion gate
 (``linalg.as_feature_matrix``) with the map's input width; the stages after
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import InvalidBandwidthError, InvalidSpecError, ZeroVectorError
 from .linalg import _BLOCK_BYTES, _row_blocks, _row_norms, as_feature_matrix
-from .rng import make_prng, sample_cauchy, sample_gaussian, sample_uniform
+from .rng import make_prng
 
 # Norms below this are treated as degenerate zero features.
 ZERO_NORM_FLOOR = 1e-30
@@ -135,25 +136,17 @@ def rff_build(kernel_kind: str, gamma: float, m: int, d_in: int, seed: int) -> R
         raise InvalidSpecError(f"need m >= 1 and d_in >= 1, got m={m}, d_in={d_in}")
     prng = make_prng(seed)
     if kernel_kind == GAUSSIAN:
-        omegas = sample_gaussian(prng, m * d_in, float(np.sqrt(2.0 * gamma)))
+        omegas = prng.normal(0.0, float(np.sqrt(2.0 * gamma)), m * d_in)
     else:
-        omegas = sample_cauchy(prng, m * d_in, gamma)
-    biases = sample_uniform(prng, m, 0.0, 2.0 * np.pi)
+        # Cauchy(0, gamma) by its inverse CDF, gamma * tan(pi * (u - 1/2)).
+        omegas = gamma * np.tan(np.pi * (prng.uniform(0.0, 1.0, m * d_in) - 0.5))
     return RffMap(
         kernel_kind=kernel_kind,
         gamma=float(gamma),
         omegas=omegas.reshape(m, d_in),
-        biases=biases,
+        biases=prng.uniform(0.0, 2.0 * np.pi, m),
         seed=int(seed),
     )
-
-
-def _rff_batch(rff: RffMap, x: np.ndarray) -> np.ndarray:
-    # sqrt(2/M) * cos(x @ omegas.T + biases), step by step in place on the
-    # array the GEMM allocated; x may be the caller's own array.
-    out = x @ rff.omegas.T
-    out += rff.biases
-    return _scaled_cos(out, rff.n_features)
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,7 +283,10 @@ def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
     if spec.stages[0] == COSINE_STAGE:
         out = out / _nonzero_row_norms(out)[:, None]
     if len(spec.stages) == 2:
-        out = _rff_batch(spec.stages[1], out)
+        rff = spec.stages[1]
+        out = out @ rff.omegas.T
+        out += rff.biases
+        return _scaled_cos(out, rff.n_features)
     return out
 
 

@@ -1,52 +1,25 @@
-"""Seeded random sampling on a fixed, platform-independent generator.
+"""Seeded random streams on a fixed, platform-independent generator.
 
 All randomness in the package flows through ``make_prng``, which wraps
 numpy's Philox bit generator. Philox is a named counter-based generator
 whose stream for a given 64-bit seed is identical on every platform, so
 identical seeds reproduce identical feature maps and synthetic datasets
 everywhere. Generators are cheap; give each concurrent task its own.
-
-Cauchy draws use the explicit inverse-CDF transform gamma*tan(pi*(u-1/2))
-so the sampling recipe is fully documented here rather than delegated.
+Callers draw from the generator directly; the random Fourier features'
+inverse-CDF Cauchy recipe lives in ``featmap.rff_build``.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .errors import InvalidRangeError
-
-Prng = np.random.Generator
+from .errors import InvalidSpecError
 
 
-def make_prng(seed: int) -> Prng:
-    """Create a deterministic generator from a 64-bit seed."""
+def make_prng(seed: int) -> np.random.Generator:
+    """Create a deterministic generator from an integer seed in [0, 2**64)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise InvalidSpecError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
-def sample_gaussian(prng: Prng, n: int, scale: float) -> np.ndarray:
-    """Draw n i.i.d. normal values with mean 0 and standard deviation ``scale``."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    return prng.normal(loc=0.0, scale=scale, size=n)
-
-
-def sample_uniform(prng: Prng, n: int, lo: float, hi: float) -> np.ndarray:
-    """Draw n i.i.d. values uniform on [lo, hi)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    if not lo < hi:
-        raise InvalidRangeError(f"need lo < hi, got [{lo}, {hi})")
-    return prng.uniform(low=lo, high=hi, size=n)
-
-
-def sample_cauchy(prng: Prng, n: int, gamma: float) -> np.ndarray:
-    """Draw n i.i.d. Cauchy values with location 0 and scale ``gamma``."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 draws, got {n}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    u = prng.uniform(low=0.0, high=1.0, size=n)
-    return gamma * np.tan(np.pi * (u - 0.5))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidSpecError
 from .linalg import _block_rows, _row_blocks, _row_norms
-from .rng import Prng, make_prng
+from .rng import make_prng
 
 NORM_SHIFT = "norm-shift"
 SPHERE_CLUSTER = "sphere-cluster"
@@ -82,11 +82,11 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sphere(prng: Prng, n: int, dim: int) -> np.ndarray:
+def _sphere(prng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return _unit_rows(prng.normal(size=(n, dim)))
 
 
-def _norm_shift(spec: SynthSpec, prng: Prng, p: dict):
+def _norm_shift(spec: SynthSpec, prng: np.random.Generator, p: dict):
     # draw order: ind directions, ind norms, ood directions, ood norms
     if not p["sigma"] > 0:
         raise InvalidSpecError(f"sigma must be > 0, got {p['sigma']}")
@@ -97,7 +97,7 @@ def _norm_shift(spec: SynthSpec, prng: Prng, p: dict):
     return ind, ood
 
 
-def _sphere_cluster(spec: SynthSpec, prng: Prng, p: dict):
+def _sphere_cluster(spec: SynthSpec, prng: np.random.Generator, p: dict):
     # draw order: centers, assignments, ind noise, ood directions
     k = int(p["clusters"]) if p["clusters"] else 8 * spec.dim
     if k < 1:
@@ -121,7 +121,7 @@ def _sphere_cluster(spec: SynthSpec, prng: Prng, p: dict):
     return ind, ood
 
 
-def _orthonormal_rows(prng: Prng, rank: int, dim: int) -> np.ndarray:
+def _orthonormal_rows(prng: np.random.Generator, rank: int, dim: int) -> np.ndarray:
     """Modified Gram-Schmidt on Gaussian rows; avoids LAPACK sign quirks."""
     b = prng.normal(size=(rank, dim))
     for i in range(rank):
@@ -131,7 +131,7 @@ def _orthonormal_rows(prng: Prng, rank: int, dim: int) -> np.ndarray:
     return b
 
 
-def _low_rank_gauss(spec: SynthSpec, prng: Prng, p: dict):
+def _low_rank_gauss(spec: SynthSpec, prng: np.random.Generator, p: dict):
     # draw order: subspace basis, ind coefficients, ind noise, ood rows
     rank = int(p["rank"])
     if not 1 <= rank < spec.dim:

@@ -988,7 +988,6 @@ _EXIT_CODES = {
     OSError: 2,
     errors.KpcaOodError: 2,
     errors.DataError: 2,
-    errors.InvalidRangeError: 2,
     errors.ZeroVectorError: 2,
     errors.DimMismatchError: 2,
     errors.MissingResidualBasisError: 2,

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -79,7 +80,33 @@ class TestCosine:
         assert e.value.row_index == 1
 
 
+# SHA-256 of rff_build's omegas and biases: the draws are bit-pinned per
+# kernel, seed and shape, so a change to how they are drawn shows here.
+RFF_DIGESTS = [
+    ("gaussian", 0.7, 256, 64, 11,
+     "d64345ead8c0ae7e43c2d9ecfb17535d28bf0d58736c08ff81a6325cc5678a8f",
+     "b58b30fa251083ab487fe3325561aa94c5bca1f32cb9f61130cf47226f099269"),
+    ("gaussian", 2.0, 64, 5, 2**64 - 1,
+     "9fb595c08f7c17a66ba8283dc2e910be0b5dbcd1621ef39241de6b3303b76e6a",
+     "1f3aa68c0d980e1245972dd8c484cccc4c0c53c2a81716c301429bf7dd928114"),
+    ("laplacian", 0.7, 256, 64, 11,
+     "76710812ea82ebae2e5f6d06319ac2803f3a9c00afe8892d2849dec3f71d0aa6",
+     "d76088f34cf3346954f141d2324701b56167ce3d58f6913c6ea78c43749ddd6d"),
+    ("laplacian", 1.3, 64, 5, 2**64 - 1,
+     "9c817fb6fafa3cfa98dabe96e5827940db3c3431cb7c13d67f58da66edb8d2fb",
+     "4f2aa8ed4fd0dd57baa7d9332d437eab2d4c63784143ea84c015b06c5e8a9f06"),
+]
+
+
 class TestRffBuild:
+    @pytest.mark.parametrize("kind,gamma,m,d_in,seed,omegas_sha,biases_sha", RFF_DIGESTS)
+    def test_draw_digests(self, kind, gamma, m, d_in, seed, omegas_sha, biases_sha):
+        rff = rff_build(kind, gamma, m, d_in, seed)
+        assert rff.omegas.dtype == rff.biases.dtype == np.float64
+        assert rff.omegas.flags.c_contiguous and rff.biases.flags.c_contiguous
+        assert hashlib.sha256(rff.omegas.tobytes()).hexdigest() == omegas_sha
+        assert hashlib.sha256(rff.biases.tobytes()).hexdigest() == biases_sha
+
     def test_gaussian_frequency_variance(self):
         # per-coordinate variance of omega must be 2*gamma
         gamma = 0.7
