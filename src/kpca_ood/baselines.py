@@ -135,7 +135,7 @@ def reg_pca_error(model: DetectorModel, x) -> np.ndarray:
     Only meaningful for a model fitted with the identity map in the
     original feature space.
     """
-    if tuple(model.map_spec.stages) != (IDENTITY_STAGE,):
+    if model.map_spec.stage != IDENTITY_STAGE:
         raise ValueError("regularized error needs an identity-map model")
 
     def block(rows):

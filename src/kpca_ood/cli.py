@@ -46,7 +46,7 @@ from .kernelspace import (
     score_kernelspace,
 )
 from .metrics import DEFAULT_TPR, bench_scorers, evaluate
-from .rng import make_prng
+from .rng import SEED_LIMIT, make_prng
 from .synth import KINDS, SynthSpec, generate
 
 EXIT_OK = 0
@@ -123,6 +123,7 @@ def _check_args(args) -> None:
         for _, point in _grid(args):
             _check_args(point)
     elif command == "bench":
+        _require(bool(_bench_methods(args)), "--methods is empty")
         for m in _bench_methods(args):
             _require(m in METHODS or m == "knn", f"unknown bench method {m!r}")
         _require(args.queries >= 0, "--queries must be >= 0")
@@ -147,7 +148,7 @@ def _check_args(args) -> None:
     if command in ("eval", "sweep"):
         _require(0.0 < args.tpr <= 1.0, f"--tpr must be in (0, 1], got {args.tpr}")
     if "seed" in args:
-        _require(0 <= args.seed < 2**64, f"--seed must be in [0, 2**64), got {args.seed}")
+        _require(0 <= args.seed < SEED_LIMIT, f"--seed must be in [0, 2**64), got {args.seed}")
 
 
 def _rff_dim(rff_dim, dim: int) -> int:
@@ -198,11 +199,10 @@ def _fit_model(method, train, flags, store_residual=False):
             print(f"warning: {w.message}", file=sys.stderr)
         return model
     dim = train.shape[1]
-    stages = (stage,)
+    rff = None
     if kernel is not None:
-        m = _rff_dim(flags.rff_dim, dim)
-        stages += (rff_build(kernel, gamma, m, dim, flags.seed),)
-    return fit_detector(train, FeatureMapSpec(stages, dim), flags.evr, store_residual)
+        rff = rff_build(kernel, gamma, _rff_dim(flags.rff_dim, dim), dim, flags.seed)
+    return fit_detector(train, FeatureMapSpec(stage, dim, rff), flags.evr, store_residual)
 
 
 def _model_scores(model, x) -> np.ndarray:
@@ -277,6 +277,8 @@ def cmd_score(args) -> int:
                 "(rerun with --skip-bad-rows to drop such rows)"
             ) from None
         zero = row_norms(x)[1]
+        if zero.size == x.shape[0]:
+            raise DataError(f"every row of {args.features} has zero norm")
         for i in zero:
             print(f"skipping zero-norm row {int(i)}", file=sys.stderr)
         keep = np.delete(keep, zero)

@@ -188,7 +188,7 @@ def fit(
     """
     if not 0.0 < evr_target <= 1.0:
         raise ValueError(f"evr_target must be in (0, 1], got {evr_target}")
-    own = map_spec.stages[0] != IDENTITY_STAGE
+    own = map_spec.stage != IDENTITY_STAGE
     n, mu, scatter = _row_blocks(
         lambda rows: _moments(map_apply(map_spec, rows), own),
         train, map_spec.output_dim, fold=_merge_moments,

@@ -1,18 +1,18 @@
 """Explicit non-linear feature maps of the covariance methods.
 
-A ``FeatureMapSpec`` is one of three layouts, one per covariance row of
-``fileio.METHODS``: identity (pca), unit-norm (cosine) scaling (cop), or
-cosine scaling then random Fourier features (corp, colp), whose inner
-products approximate a shift-invariant kernel. Their frequencies are drawn
-per-coordinate N(0, sqrt(2*gamma)) for the squared-exponential kernel
-exp(-gamma*||a-b||_2^2) and Cauchy(scale=gamma) for the exponential-of-L1
-kernel exp(-gamma*||a-b||_1), the latter by the inverse-CDF transform
-gamma*tan(pi*(u-1/2)) of uniform u in ``rff_build``; phases are uniform on
-[0, 2*pi). A map is frozen once built: applying it is pure, and the stored
-frequencies/phases (not the seed) are authoritative.
+A ``FeatureMapSpec`` names a covariance row of ``fileio.METHODS``: its
+``stage``, identity (pca) or unit-norm (cosine) scaling (cop), and its
+``rff``, random Fourier features after the cosine stage (corp, colp) whose
+inner products approximate a kernel of ``RFF_KERNELS``. Their frequencies
+are drawn per-coordinate N(0, sqrt(2*gamma)) for the squared-exponential
+kernel exp(-gamma*||a-b||_2^2) and Cauchy(scale=gamma) for the
+exponential-of-L1 kernel exp(-gamma*||a-b||_1), the latter by the
+inverse-CDF transform gamma*tan(pi*(u-1/2)) of uniform u in ``rff_build``;
+phases are uniform on [0, 2*pi). A map is frozen once built: applying it is
+pure, and the stored frequencies/phases (not the seed) are authoritative.
 
 ``map_apply`` passes its input through the ingestion gate
-(``linalg.as_feature_matrix``) with the map's input width; the stages after
+(``linalg.as_feature_matrix``) with the map's input width; the steps after
 it trust the validated rows. The Fourier stage works in place on the one
 N x M array it allocates (GEMM, phase, scaled cosine), so it never writes
 to its input and holds a single N x M temporary. ``row_norms`` holds the
@@ -53,6 +53,7 @@ _OUTER_SUM_BYTES = 2**20
 
 GAUSSIAN = "gaussian"
 LAPLACIAN = "laplacian"
+RFF_KERNELS = (GAUSSIAN, LAPLACIAN)  # a model file's kernel byte is the position here
 
 IDENTITY_STAGE = "identity"
 COSINE_STAGE = "cosine"
@@ -76,15 +77,18 @@ _TABLE_MIN_SIZE = 4096
 _TABLE_CHUNK = 16384
 
 
-def row_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def row_norms(x) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean norm of every row, and the indices of the zero-norm rows.
 
     A row is zero when its norm is below ZERO_NORM_FLOOR: it has no
     direction, which indicates upstream corruption rather than a sample.
-    The norms are computed one row block at a time, so the squared
-    entries are held for one block, never for the whole input.
+    Each row block passes the ingestion gate, as in normalize_rows, and
+    only one block's float64 rows and squares are held at a time; an input
+    that is not a non-empty 2-D array is gated whole.
     """
-    norms = _row_blocks(_row_norms, x, x.shape[1])
+    if not isinstance(x, np.ndarray) or x.ndim != 2 or not x.size:
+        x = as_feature_matrix(x)
+    norms = _row_blocks(lambda b: _row_norms(as_feature_matrix(b)), x, x.shape[1])
     return norms, np.flatnonzero(norms < ZERO_NORM_FLOOR)
 
 
@@ -128,7 +132,7 @@ def rff_build(kernel_kind: str, gamma: float, m: int, d_in: int, seed: int) -> R
     The draw order is fixed (all omegas row-major, then all biases) so a
     map is bit-reproducible from (kernel_kind, gamma, m, d_in, seed).
     """
-    if kernel_kind not in (GAUSSIAN, LAPLACIAN):
+    if kernel_kind not in RFF_KERNELS:
         raise InvalidSpecError(f"unknown kernel kind {kernel_kind!r}")
     if not 0 < gamma < np.inf:
         raise InvalidBandwidthError(f"gamma must be finite and > 0, got {gamma}")
@@ -149,26 +153,19 @@ def rff_build(kernel_kind: str, gamma: float, m: int, d_in: int, seed: int) -> R
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of k * STEP for k < 4096, in long double.
-
-    Only the first octant (k <= 512) is evaluated; the rest is filled in by
-    symmetry, so the symmetries hold exactly. Built on first use, never at
-    import.
+@functools.lru_cache(maxsize=8)  # 64 KiB a table pair, one pair per M
+def _cos_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(2/m) * cos(k * STEP) and sqrt(2/m) * sin(k * STEP) for k < 4096,
+    each rounded once to float64 from long double (correctly rounded where
+    long double is wider). Only the first octant (k <= 512) is evaluated;
+    the rest is filled in by symmetry, so the symmetries hold exactly.
+    Built on first use, never at import.
     """
     step = (np.longdouble(_STEP1) + np.longdouble(_STEP2)) + np.longdouble(_STEP3)
     angle = np.arange(_TABLE_SIZE // 8 + 1, dtype=np.longdouble) * step
     c, s = np.cos(angle), np.sin(angle)
     c, s = np.concatenate([c, s[-2:0:-1]]), np.concatenate([s, c[-2:0:-1]])
-    return np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])
-
-
-@functools.lru_cache(maxsize=8)  # 64 KiB a table pair, one pair per M
-def _cos_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(2/m) * cos(k * STEP) and sqrt(2/m) * sin(k * STEP), each rounded
-    once to float64 (correctly rounded where long double is wider)."""
-    c, s = _unit_tables()
+    c, s = np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])
     scale = np.longdouble(np.sqrt(2.0 / m))
     return (c * scale).astype(np.float64), (s * scale).astype(np.float64)
 
@@ -224,31 +221,33 @@ def _scaled_cos(t: np.ndarray, m: int) -> np.ndarray:
     return t
 
 
-_LAYOUTS = ((IDENTITY_STAGE,), (COSINE_STAGE,), (COSINE_STAGE, RffMap))
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMapSpec:
     """A covariance method's feature map, applied row-wise.
 
-    ``stages`` is ("identity",) for pca, ("cosine",) for cop, or
-    ("cosine", rff) for corp and colp, with rff an RffMap on input_dim.
+    ``stage`` is "identity" for pca or "cosine" for cop; corp and colp
+    follow the cosine stage with ``rff``, an RffMap on input_dim.
     """
 
-    stages: tuple
+    stage: str
     input_dim: int
+    rff: RffMap | None = None
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise InvalidSpecError(f"input_dim must be >= 1, got {self.input_dim}")
-        # Other than strings, stages are named by type: an RffMap's repr has arrays.
-        kinds = tuple(s if isinstance(s, str) else type(s) for s in self.stages)
-        if kinds not in _LAYOUTS:
-            names = ", ".join(k if isinstance(k, str) else k.__name__ for k in kinds)
-            raise InvalidSpecError(f"unsupported map stages ({names})")
-        if len(kinds) == 2:
-            rff = self.stages[1]
-            if rff.kernel_kind not in (GAUSSIAN, LAPLACIAN):
+        # What is not a string is named by its type: an RffMap's repr has arrays.
+        stage = self.stage if isinstance(self.stage, str) else type(self.stage)
+        if stage not in (IDENTITY_STAGE, COSINE_STAGE):
+            raise InvalidSpecError(f"unknown map stage {stage!r}")
+        rff = self.rff
+        if rff is not None:
+            if stage != COSINE_STAGE or not isinstance(rff, RffMap):
+                raise InvalidSpecError(
+                    f"rff must be an RffMap after the cosine stage, "
+                    f"got {type(rff).__name__} after {stage!r}"
+                )
+            if rff.kernel_kind not in RFF_KERNELS:
                 raise InvalidSpecError(f"unknown kernel kind {rff.kernel_kind!r}")
             if rff.input_dim != self.input_dim:
                 raise InvalidSpecError(
@@ -258,32 +257,32 @@ class FeatureMapSpec:
 
     @property
     def output_dim(self) -> int:
-        return self.stages[1].n_features if len(self.stages) == 2 else self.input_dim
+        return self.input_dim if self.rff is None else self.rff.n_features
 
 
 def identity_spec(dim: int) -> FeatureMapSpec:
-    return FeatureMapSpec(stages=(IDENTITY_STAGE,), input_dim=dim)
+    return FeatureMapSpec(IDENTITY_STAGE, dim)
 
 
 def cosine_spec(dim: int) -> FeatureMapSpec:
-    return FeatureMapSpec(stages=(COSINE_STAGE,), input_dim=dim)
+    return FeatureMapSpec(COSINE_STAGE, dim)
 
 
 def cosine_rff_spec(rff: RffMap) -> FeatureMapSpec:
-    return FeatureMapSpec(stages=(COSINE_STAGE, rff), input_dim=rff.input_dim)
+    return FeatureMapSpec(COSINE_STAGE, rff.input_dim, rff)
 
 
 def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
-    """Gate all rows of x, then apply the cosine and Fourier stages the spec has.
+    """Gate all rows of x, then apply the spec's stage and its Fourier map.
 
     With the identity map the result may be x itself, so callers must not
     modify it in place.
     """
     out = as_feature_matrix(x, dim=spec.input_dim)
-    if spec.stages[0] == COSINE_STAGE:
+    if spec.stage == COSINE_STAGE:
         out = out / _nonzero_row_norms(out)[:, None]
-    if len(spec.stages) == 2:
-        rff = spec.stages[1]
+    rff = spec.rff
+    if rff is not None:
         out = out @ rff.omegas.T
         out += rff.biases
         return _scaled_cos(out, rff.n_features)

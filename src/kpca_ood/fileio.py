@@ -15,13 +15,13 @@ ingestion gate, so the whole file is never in memory as bytes.
 Model container ("OODM"), version 2: magic, version byte 0x02, method byte
 (the tag's position in ``METHODS``), then a method-family payload with all
 reals as little-endian float64, then a u32 CRC-32 (``zlib.crc32``) of every
-preceding byte. Each file holds only the eigenbasis its scorer reads:
+preceding byte. Each file holds the narrower eigenbasis, U or R:
 
   covariance family (pca, cop, corp, colp):
       evr_target f64 in (0, 1], input_dim u32, feature_dim u32, q u32, flags u8
       (bit0 = has frequencies block, bit1 = has residual basis),
-      [kernel u8 (the method's: 0 gaussian, 1 laplacian), gamma f64 > 0,
-       M u32, d_in u32 (= input_dim), seed u64,
+      [kernel u8 (its index in featmap.RFF_KERNELS: 0 gaussian, 1 laplacian),
+       gamma f64 > 0, M u32, d_in u32 (= input_dim), seed u64,
        omegas M*d_in row-major, biases M],
       mean D, eigenvalues D,
       basis column-major: U (D*q) when 2q <= D, else R (D*(D-q)), an
@@ -70,6 +70,7 @@ from .featmap import (
     GAUSSIAN,
     IDENTITY_STAGE,
     LAPLACIAN,
+    RFF_KERNELS,
     FeatureMapSpec,
     RffMap,
 )
@@ -94,7 +95,6 @@ METHODS = {
     "kcos": (GRAM, COSINE_KERNEL),
     "kgau": (GRAM, GAUSSIAN_KERNEL),
 }
-_RFF_KERNELS = (GAUSSIAN, LAPLACIAN)  # a kernel byte is the position here
 
 _U32_MAX = 2**32 - 1
 _SCORE_BLOCK_ROWS = 65536  # rows of the score CSV formatted per write
@@ -165,8 +165,8 @@ def method_for_model(model) -> str:
         row = (GRAM, model.kernel_kind)
     elif isinstance(model, DetectorModel):
         # A FeatureMapSpec holds a METHODS row's layout, so this always matches.
-        stage, *rff = model.map_spec.stages
-        row = (stage, rff[0].kernel_kind if rff else None)
+        spec = model.map_spec
+        row = (spec.stage, None if spec.rff is None else spec.rff.kernel_kind)
     for tag, method_row in METHODS.items():
         if method_row == row:
             return tag
@@ -186,10 +186,8 @@ def save_model(path, model) -> None:
     if stage != GRAM:
         d = model.feature_dim
         q = model.q
-        rff = model.map_spec.stages[1] if kernel is not None else None
-        flags = (1 if rff is not None else 0) | (
-            2 if model.residual_basis is not None else 0
-        )
+        rff = model.map_spec.rff
+        flags = (rff is not None) | 2 * (model.residual_basis is not None)
         parts.append(
             struct.pack(
                 "<dIIIB", model.evr_target, model.map_spec.input_dim, d, q, flags
@@ -199,7 +197,7 @@ def save_model(path, model) -> None:
             parts.append(
                 struct.pack(
                     "<BdIIQ",
-                    _RFF_KERNELS.index(kernel),
+                    RFF_KERNELS.index(kernel),
                     rff.gamma,
                     rff.n_features,
                     rff.input_dim,
@@ -314,7 +312,7 @@ def load_model(path):
         m = input_dim
         if kernel is not None:
             kernel_byte, gamma, m, d_in, seed = r.unpack("<BdIIQ")
-            if kernel_byte != _RFF_KERNELS.index(kernel):
+            if kernel_byte != RFF_KERNELS.index(kernel):
                 raise FormatError(f"{path}: bad kernel byte {kernel_byte} for {method}")
             if not 0 < gamma < math.inf:
                 raise FormatError(f"{path}: gamma {gamma} is not finite and > 0")
@@ -331,11 +329,9 @@ def load_model(path):
         arrays = r.arrays(*layouts)
         residual = arrays.pop() if flags & 2 else None
         mean, eigenvalues, basis = arrays[-3:]
-        stages = (stage,)
-        if kernel is not None:
-            stages += (RffMap(kernel, gamma, arrays[0], arrays[1], int(seed)),)
+        rff = None if kernel is None else RffMap(kernel, gamma, *arrays[:2], int(seed))
         return DetectorModel(
-            map_spec=FeatureMapSpec(stages=stages, input_dim=input_dim),
+            map_spec=FeatureMapSpec(stage, input_dim, rff),
             mean=mean,
             basis=None if holds_r else basis,
             residual_basis=residual,

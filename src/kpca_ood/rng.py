@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import InvalidSpecError
 
+SEED_LIMIT = 2**64  # seeds are the integers in [0, SEED_LIMIT)
+
 
 def make_prng(seed: int) -> np.random.Generator:
     """Create a deterministic generator from an integer seed in [0, 2**64)."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < SEED_LIMIT):
         raise InvalidSpecError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))

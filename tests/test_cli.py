@@ -111,7 +111,7 @@ class TestFitScore:
         rc = run("fit", "--train", ind, "--method", "corp", "--out", model_path)
         assert rc == 0
         model = fileio.load_model(model_path)
-        assert model.map_spec.stages[1].n_features == 4 * 8
+        assert model.map_spec.rff.n_features == 4 * 8
 
     def test_score_roundtrip_and_determinism(self, synth_files, tmp_path):
         ind, ood = synth_files
@@ -379,6 +379,13 @@ class TestSweepBench:
         ind, _ = synth_files
         rc = run("bench", "--train", ind, "--queries", 4, "--methods", "zap")
         assert rc == 1
+
+    @pytest.mark.parametrize("methods", ["", ","])
+    def test_bench_empty_methods_usage(self, tmp_path, capsys, methods):
+        rc = run("bench", "--train", tmp_path / "none.oodf", "--queries", 4,
+                 "--methods", methods)
+        assert rc == 1
+        assert capsys.readouterr().err == "usage error: --methods is empty\n"
 
 
 class TestDefaultGamma:
@@ -704,6 +711,17 @@ class TestScoreZeroRows:
         assert capsys.readouterr().err == ""
         assert out.read_bytes() == self._expected_csv(
             tmp_path, model_path, feat, "score", np.arange(4))
+
+    @pytest.mark.parametrize("method,kind", [("cop", "score"), ("pca", "reg-error")])
+    def test_every_row_zero_with_flag(self, tmp_path, capsys, method, kind):
+        model_path, feat = self._files(tmp_path, method, n_rows=3, zero=slice(None))
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        assert run("score", "--model", model_path, "--features", feat,
+                   "--kind", kind, "--skip-bad-rows", "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"data error: every row of {feat} has zero norm\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["cop", "kgau"])
     def test_zero_row_after_first_block(self, tmp_path, capsys, monkeypatch, method):

@@ -14,6 +14,7 @@ from kpca_ood.errors import (
     DimMismatchError,
     InvalidBandwidthError,
     InvalidSpecError,
+    NonFiniteError,
     ZeroVectorError,
 )
 from kpca_ood.featmap import (
@@ -108,40 +109,49 @@ class TestRffBuild:
         assert hashlib.sha256(rff.biases.tobytes()).hexdigest() == biases_sha
 
     def test_gaussian_frequency_variance(self):
-        # per-coordinate variance of omega must be 2*gamma
-        gamma = 0.7
-        rff = rff_build("gaussian", gamma, 4096, 8, seed=7)
-        assert rff.omegas.shape == (4096, 8)
-        var = rff.omegas.var()
-        assert abs(var - 2 * gamma) <= 0.05 * 2 * gamma
+        # Per-coordinate omega ~ N(0, sigma^2) with sigma^2 = 2*gamma: the mean
+        # of 1e5 draws lies within 4*sigma/sqrt(1e5) of 0, their spread near sigma.
+        sigma = 3.0
+        omegas = rff_build("gaussian", sigma**2 / 2, 1000, 100, seed=8).omegas
+        assert omegas.shape == (1000, 100)
+        assert abs(omegas.mean()) <= 4 * sigma / np.sqrt(omegas.size)
+        assert abs(omegas.std() - sigma) <= 0.05
 
     def test_laplacian_frequency_quartiles(self):
-        gamma = 1.3
-        rff = rff_build("laplacian", gamma, 2048, 16, seed=3)
-        q1, q3 = np.quantile(rff.omegas.ravel(), [0.25, 0.75])
-        assert abs(q1 + gamma) <= 0.1 * gamma
-        assert abs(q3 - gamma) <= 0.1 * gamma
+        # Cauchy(0, gamma) has no mean; its median is 0 and its quartiles sit
+        # at -gamma and +gamma.
+        gamma = 0.8
+        omegas = rff_build("laplacian", gamma, 2000, 100, seed=12).omegas
+        q1, median, q3 = np.quantile(omegas, [0.25, 0.5, 0.75])
+        assert abs(median) <= 0.05 * gamma
+        assert abs(q1 + gamma) <= 0.05 * gamma
+        assert abs(q3 - gamma) <= 0.05 * gamma
 
     def test_biases_range(self):
-        rff = rff_build("gaussian", 1.0, 512, 4, seed=0)
-        assert rff.biases.min() >= 0.0
-        assert rff.biases.max() < 2 * np.pi
+        # Phases are uniform on [0, 2*pi).
+        biases = rff_build("gaussian", 1.0, 100_000, 1, seed=9).biases
+        assert biases.min() >= 0.0
+        assert biases.max() < 2 * np.pi
+        assert abs(biases.mean() - np.pi) <= 0.05
 
     def test_same_seed_bit_identical(self):
-        a = rff_build("gaussian", 2.0, 64, 5, seed=11)
-        b = rff_build("gaussian", 2.0, 64, 5, seed=11)
-        assert np.array_equal(a.omegas, b.omegas)
-        assert np.array_equal(a.biases, b.biases)
+        for kind in ("gaussian", "laplacian"):
+            a = rff_build(kind, 2.0, 64, 5, seed=11)
+            b = rff_build(kind, 2.0, 64, 5, seed=11)
+            assert np.array_equal(a.omegas, b.omegas)
+            assert np.array_equal(a.biases, b.biases)
 
     def test_invalid_args(self):
-        with pytest.raises(InvalidSpecError):
-            rff_build("gaussian", 1.0, 0, 4, seed=0)
-        with pytest.raises(InvalidBandwidthError):
-            rff_build("gaussian", 0.0, 8, 4, seed=0)
         for kind in ("gaussian", "laplacian"):
-            with pytest.raises(InvalidBandwidthError):
-                rff_build(kind, np.inf, 8, 4, seed=0)
-        with pytest.raises(InvalidSpecError):
+            for m, d_in in ((0, 4), (4, 0)):
+                with pytest.raises(InvalidSpecError, match="need m >= 1 and d_in >= 1"):
+                    rff_build(kind, 1.0, m, d_in, seed=0)
+            # gamma is the scale of both frequency laws: an empty or
+            # unbounded one is refused.
+            for gamma in (0.0, -1.0, np.inf, np.nan):
+                with pytest.raises(InvalidBandwidthError):
+                    rff_build(kind, gamma, 8, 4, seed=0)
+        with pytest.raises(InvalidSpecError, match="unknown kernel kind 'triangular'"):
             rff_build("triangular", 1.0, 8, 4, seed=0)
 
 
@@ -241,7 +251,7 @@ class TestSpecAndBatch:
     def test_inconsistent_chain_rejected(self):
         rff = rff_build("gaussian", 1.0, 20, 6, seed=0)
         with pytest.raises(InvalidSpecError):
-            FeatureMapSpec(stages=("cosine", rff), input_dim=5)
+            FeatureMapSpec("cosine", 5, rff)
 
     def test_wrong_input_dim_rejected(self):
         with pytest.raises(DimMismatchError):
@@ -272,6 +282,19 @@ class TestSpecAndBatch:
         norms, zero = row_norms(x)
         assert np.array_equal(norms, np.linalg.norm(x, axis=1))
         assert zero.tolist() == [1, 2]
+
+    def test_row_norms_gates_its_input_as_normalize_rows_does(self):
+        # Tiny float32 rows are not zero once in float64, as normalize_rows
+        # sees them; int64 squares do not wrap; a list is converted.
+        tiny = np.full((3, 4), 1e-25, dtype=np.float32)
+        assert row_norms(tiny)[1].size == 0
+        normalize_rows(tiny)
+        big = np.array([[3_037_000_500, 3_037_000_500]], dtype=np.int64)
+        assert np.isclose(row_norms(big)[0][0], 3_037_000_500 * np.sqrt(2.0), rtol=1e-15)
+        norms, zero = row_norms([[3.0, 4.0], [0.0, 0.0]])
+        assert norms.tolist() == [5.0, 0.0] and zero.tolist() == [1]
+        with pytest.raises(NonFiniteError):
+            row_norms(np.array([[1.0, 2.0], [np.nan, 0.0]]))
 
 
 class TestMedianHeuristic:
@@ -411,16 +434,13 @@ def _median_gamma_reference(x) -> float:
 _D = 4
 _RFF = rff_build("gaussian", 0.9, 12, _D, seed=4)
 
-# Six stage chains no method uses, then the layouts of pca, cop and corp.
+# The (stage, rff) of three layouts no method uses, then of pca, cop and corp.
 LAYOUTS = {
     "identity-rff": (("identity", _RFF), None),
-    "rff": ((_RFF,), None),
-    "cosine-cosine": (("cosine", "cosine"), None),
-    "cosine-identity": (("cosine", "identity"), None),
-    "identity-cosine": (("identity", "cosine"), None),
-    "cosine-rff-cosine": (("cosine", _RFF, "cosine"), None),
-    "pca": (("identity",), "pca"),
-    "cop": (("cosine",), "cop"),
+    "rff": ((_RFF, None), None),
+    "sine": (("sine", None), None),
+    "pca": (("identity", None), "pca"),
+    "cop": (("cosine", None), "cop"),
     "corp": (("cosine", _RFF), "corp"),
 }
 
@@ -428,16 +448,16 @@ LAYOUTS = {
 class TestMapLayouts:
     @pytest.mark.parametrize("name", LAYOUTS)
     def test_only_method_layouts_build(self, tmp_path, name):
-        stages, tag = LAYOUTS[name]
+        (stage, rff), tag = LAYOUTS[name]
         if tag is None:
             with pytest.raises(InvalidSpecError) as info:
-                FeatureMapSpec(stages, _D)
-            # Stages are named by kind; an RffMap's arrays are not printed.
+                FeatureMapSpec(stage, _D, rff)
+            # An RffMap is named by its type; its arrays are not printed.
             assert "array" not in str(info.value)
-            assert ("RffMap" in str(info.value)) == (_RFF in stages)
+            assert ("RffMap" in str(info.value)) == (_RFF in (stage, rff))
             return
         rng = np.random.default_rng(6)
-        model = fit(rng.normal(size=(40, _D)), FeatureMapSpec(stages, _D))
+        model = fit(rng.normal(size=(40, _D)), FeatureMapSpec(stage, _D, rff))
         path = tmp_path / "m.oodm"
         save_model(path, model)
         back = load_model(path)
@@ -544,19 +564,18 @@ class TestTableCosine:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import kpca_ood; f = kpca_ood.featmap; "
-            "print(f._unit_tables.cache_info().currsize, "
-            "f._cos_tables.cache_info().currsize)"
+            "print(f._cos_tables.cache_info().currsize)"
         )
         out = subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                              capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=path)).stdout
-        assert out.split() == ["0", "0"]
+        assert out.split() == ["0"]
 
 
 class TestArgumentErrors:
     def test_spec_input_dim_zero(self):
         with pytest.raises(InvalidSpecError, match="input_dim must be >= 1, got 0"):
-            FeatureMapSpec(("identity",), 0)
+            FeatureMapSpec("identity", 0)
 
     def test_median_heuristic_one_row(self):
         with pytest.raises(InvalidBandwidthError, match="at least 2 rows"):

@@ -199,7 +199,7 @@ class TestModelContainer:
         model = fit(x, cosine_rff_spec(rff), evr_target=0.9)
         back = self._roundtrip(tmp_path, model)
         assert method_for_model(back) == tag
-        loaded_rff = back.map_spec.stages[1]
+        loaded_rff = back.map_spec.rff
         assert loaded_rff.seed == 99
         assert np.array_equal(loaded_rff.omegas, rff.omegas)
         q = rng.normal(size=(7, 6))
