@@ -73,7 +73,7 @@ def knn_score(scorer: KnnScorer, x) -> np.ndarray:
     def top_k(sims):
         """The k largest similarities of each row; for k = 1, the largest."""
         if k == 1:
-            return sims.max(axis=1)
+            return np.maximum.reduce(sims, axis=-1)
         if sims.shape[1] > k:
             sims.partition(-k, axis=1)
         # A copy: a view would keep the whole tile alive, or would be
@@ -99,7 +99,7 @@ def knn_score(scorer: KnnScorer, x) -> np.ndarray:
             stop = n if start == last else start + width
             top = top_k(work.matmul("tiles", q, train[start:stop].T, room))
             best = top if best is None else top_k(np.column_stack([best, top]))
-        return best if k == 1 else best.min(axis=1)
+        return best if k == 1 else np.minimum.reduce(best, axis=-1)
 
     # unit rows on both sides: ||a-b||^2 = 2 - 2 a.b
     kth = 2.0 - 2.0 * _row_blocks(block, x, _KNN_TILE, work=work)
@@ -140,7 +140,7 @@ def reg_pca_error(model: DetectorModel, x) -> np.ndarray:
 
     def block(rows):
         rows = as_feature_matrix(rows, dim=model.map_spec.input_dim)
-        return reconstruction_errors(model, rows) / _nonzero_row_norms(rows)
+        return reconstruction_errors(model, rows) / _nonzero_row_norms(rows)[:, 0]
 
     # The width of reconstruction_errors' own blocks, so it runs each whole.
     return _row_blocks(block, x, model.feature_dim)

@@ -44,7 +44,6 @@ in the tests depends on this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -72,7 +71,9 @@ class DetectorModel:
     2q < D - q, else an orthonormal D x (D - q) basis of the complement of
     the retained basis; when not given it is derived from ``basis``. A
     model loaded from a file that holds R (2q > D) has ``basis`` None.
-    ``complement_mean`` is R^T mu, derived on construction.
+    ``complement_mean`` is R^T mu, derived on construction, as a
+    1 x (D - q) row: a one-row block subtracts an operand of its own shape,
+    which numpy does without setting up a broadcast.
     """
 
     map_spec: FeatureMapSpec
@@ -89,7 +90,7 @@ class DetectorModel:
         if self.complement is None:
             self.complement = _complement(self.basis)
         self.complement_mean = (
-            None if self.complement is None else self.mean @ self.complement
+            None if self.complement is None else (self.mean @ self.complement)[None]
         )
 
     @property
@@ -230,12 +231,16 @@ def reconstruction_errors(model: DetectorModel, x) -> np.ndarray:
     subtraction; k leaves a factor of 2 over that count. Measured k was at
     most 1.0 through R and 0.7 through U, at D = 24 to 128.
     """
-    mapped = partial(map_apply, model.map_spec)
+    spec = model.map_spec
     if model.complement is None:
         # Not in place: with the identity map, map_apply returns rows itself.
-        centered = lambda rows: mapped(rows) - model.mean  # noqa: E731
-        return _residual_norms(centered, x, model.basis, True)
-    return _residual_norms(mapped, x, model.complement, False, model.complement_mean)
+        return _residual_norms(
+            lambda rows: map_apply(spec, rows) - model.mean, x, model.basis, True
+        )
+    return _residual_norms(
+        lambda rows: map_apply(spec, rows), x, model.complement, False,
+        model.complement_mean,
+    )
 
 
 def score_reconstruction(model: DetectorModel, x) -> np.ndarray:
@@ -253,5 +258,7 @@ def score_residual(model: DetectorModel, x) -> np.ndarray:
     a = model.residual_basis
     if a is None:
         raise MissingResidualBasisError("model was fitted without store_residual=True")
-    features = partial(map_apply, model.map_spec)
-    return -_residual_norms(features, x, a, False, model.mean @ a)
+    spec = model.map_spec
+    return -_residual_norms(
+        lambda rows: map_apply(spec, rows), x, a, False, model.mean @ a
+    )

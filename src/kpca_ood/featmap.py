@@ -18,6 +18,11 @@ N x M array it allocates (GEMM, phase, scaled cosine), so it never writes
 to its input and holds a single N x M temporary. ``row_norms`` holds the
 one zero-norm rule, for this module and for its callers elsewhere.
 
+A single query row goes through ``map_apply`` as a block of one row, with
+the batch's steps and calls: the gate, the norm column and its zero-norm
+test (``linalg._least``), the row scale, the GEMM (``linalg._product``, a
+GEMV for one row) and the cosine. The result stays 2-D for every block.
+
 The Fourier stage's cosine (``_scaled_cos``) is a table cosine: float64
 ``np.cos`` is scalar libm, several times the cost of the rest of the map.
 With h = 2*pi/4096, t = n*h + r, n = rint(t/h), r is reduced by a
@@ -41,7 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBandwidthError, InvalidSpecError, ZeroVectorError
-from .linalg import _BLOCK_BYTES, _row_blocks, _row_norms, as_feature_matrix
+from .linalg import (
+    _BLOCK_BYTES,
+    _least,
+    _product,
+    _row_blocks,
+    _row_norms,
+    as_feature_matrix,
+)
 from .rng import make_prng
 
 # Norms below this are treated as degenerate zero features.
@@ -89,14 +101,15 @@ def row_norms(x) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(x, np.ndarray) or x.ndim != 2 or not x.size:
         x = as_feature_matrix(x)
     norms = _row_blocks(lambda b: _row_norms(as_feature_matrix(b)), x, x.shape[1])
-    return norms, np.flatnonzero(norms < ZERO_NORM_FLOOR)
+    return norms[:, 0], np.flatnonzero(norms < ZERO_NORM_FLOOR)
 
 
 def _nonzero_row_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
-    """row_norms of rows that passed as_feature_matrix; a zero row raises."""
+    """Row norms, as an N x 1 column, of rows that passed as_feature_matrix;
+    a zero row raises."""
     norms = _row_norms(x)
     # The first zero row is looked for only when there is one.
-    if norms.min() < ZERO_NORM_FLOOR:
+    if _least(norms) < ZERO_NORM_FLOOR:
         raise ZeroVectorError(name, int(np.flatnonzero(norms < ZERO_NORM_FLOOR)[0]))
     return norms
 
@@ -104,7 +117,7 @@ def _nonzero_row_norms(x: np.ndarray, name: str = "features") -> np.ndarray:
 def normalize_rows(x, name: str = "features", dim: int | None = None) -> np.ndarray:
     """Unit-normalize every row; reports the first degenerate row index."""
     x = as_feature_matrix(x, name, dim)
-    return x / _nonzero_row_norms(x, name)[:, None]
+    return x / _nonzero_row_norms(x, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,11 +293,13 @@ def map_apply(spec: FeatureMapSpec, x) -> np.ndarray:
     """
     out = as_feature_matrix(x, dim=spec.input_dim)
     if spec.stage == COSINE_STAGE:
-        out = out / _nonzero_row_norms(out)[:, None]
+        out = out / _nonzero_row_norms(out)
     rff = spec.rff
     if rff is not None:
-        out = out @ rff.omegas.T
-        out += rff.biases
+        out = _product(out, rff.omegas.T)
+        # A (1, M) view: a one-row block then adds an operand of its own
+        # shape, which numpy does without setting up a broadcast.
+        out += rff.biases[None]
         return _scaled_cos(out, rff.n_features)
     return out
 

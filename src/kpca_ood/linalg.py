@@ -28,6 +28,17 @@ routine on them: every eigenbasis scorer (covariance U, R and residual
 basis; Gram V and A) takes its per-row error from it, through the basis
 that ``_through_kept`` finds cheaper.
 
+A single query row is a block of one row: ``_row_blocks`` hands a (1, d)
+array, unconverted, to the same per-block function as every block of a
+batch, and the gate, the map and the residual norm keep it 2-D. A row of
+32 numbers costs what its numpy calls cost, so the per-block steps use the
+cheapest call with the batch's bits. Small products are ``ndarray.dot``
+(``_product``), the BLAS call of ``@`` without the ufunc dispatch of
+``np.matmul``. The all-finite and zero-norm tests read ``argmin`` and
+``item`` (``_least``) instead of ``all()`` and ``min()``, which run through
+a Python wrapper. Row norms are a column (``keepdims``) that divides the
+rows without a reshape.
+
 The Gram scorer and knn allocate their large block temporaries once per
 call, not once per block: a ``_Workspace`` holds them for the call, every
 block writes into the same arrays, and the last, shorter block into their
@@ -62,6 +73,8 @@ SYMMETRY_TOL = 1e-9
 # block's width, and never fewer than _MIN_BLOCK_ROWS rows.
 _BLOCK_BYTES = 4 * 2**20
 _MIN_BLOCK_ROWS = 64
+# Products with fewer elements than this are formed by ndarray.dot (_product).
+_DOT_MAX_SIZE = 4096
 
 
 def as_feature_matrix(
@@ -75,23 +88,34 @@ def as_feature_matrix(
     given) and non-finite entries; this is the single ingestion gate, so
     downstream code can assume clean matrices.
     """
-    a = np.asarray(data)
-    if a.dtype.kind == "c":
+    a = data if type(data) is np.ndarray else np.asarray(data)
+    kind = a.dtype.kind
+    if kind == "c":
         raise DataError(f"{name} must be real, got dtype {a.dtype}")
     # A numeric list is converted once, from ``a``; any other kind is
     # converted from ``data``, so numpy's error names the value as given.
-    x = np.ascontiguousarray(a if a.dtype.kind in "biuf" else data, dtype=np.float64)
+    x = np.ascontiguousarray(a if kind in "biuf" else data, dtype=np.float64)
     # One test on the accepted path; _rejection finds the rule that failed.
-    # The ndarray method skips np.all's Python wrapper, which is a
-    # measurable share of a single-row query.
     if not (
         x.ndim == 2
         and x.size
         and (dim is None or x.shape[1] == dim)
-        and np.isfinite(x).all()
+        and _least(np.isfinite(x))
     ):
         raise _rejection(a, x, name, dim)
     return x
+
+
+def _least(a: np.ndarray):
+    """The smallest entry of a non-empty array, as a Python scalar; of a
+    boolean array, whether every entry is True.
+
+    ``argmin`` and ``item`` are ndarray methods in C: ``a.min()`` and
+    ``a.all()`` go through a Python wrapper and a ufunc reduction, about
+    1 us more on a one-row block, and ``argmin`` also scans a 2048 x 64
+    boolean block in less time than ``all()``.
+    """
+    return a.item(a.argmin())
 
 
 def _rejection(a: np.ndarray, x: np.ndarray, name: str, dim) -> DataError:
@@ -111,13 +135,13 @@ def _rejection(a: np.ndarray, x: np.ndarray, name: str, dim) -> DataError:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of a real matrix.
+    """Euclidean norm of every row of a real matrix, as an N x 1 column.
 
     numpy's own ``norm(x, axis=1)`` formula for real input, with the same
     bits, without the dispatch that is a measurable share of a single-row
-    query.
+    query. The column divides the rows without a reshape.
     """
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
 
 
 def _block_rows(width: int) -> int:
@@ -130,10 +154,11 @@ class _Workspace:
 
     ``_row_blocks`` opens it for its block height ``rows`` before the first
     of several blocks. Until then (an input that fits in one block)
-    ``matmul`` is plain ``a @ b``. Once opened, ``matmul`` writes a @ b
-    into the leading elements of the call's flat array ``key``, made on its
-    first use with ``room`` elements, by default ``rows`` x the product's
-    width, so a shorter block takes the leading rows of the same array.
+    ``matmul`` is plain ``_product(a, b)``. Once opened,
+    ``matmul`` writes a @ b into the leading elements of the call's flat
+    array ``key``, made on its first use with ``room`` elements, by default
+    ``rows`` x the product's width, so a shorter block takes the leading
+    rows of the same array.
     """
 
     rows = 0
@@ -143,7 +168,7 @@ class _Workspace:
 
     def matmul(self, key: str, a: np.ndarray, b: np.ndarray, room: int | None = None):
         if not self.rows:
-            return a @ b
+            return _product(a, b)
         n, cols = a.shape[0], b.shape[1]
         flat = self._arrays.get(key)
         if flat is None:
@@ -153,9 +178,23 @@ class _Workspace:
         return np.matmul(a, b, out=flat[: n * cols].reshape(n, cols))
 
 
-def _matmul(key: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_Workspace.matmul`` without a workspace: a @ b."""
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of 2-D arrays; by ``ndarray.dot`` when it has fewer than
+    _DOT_MAX_SIZE elements.
+
+    Both make the same BLAS call, so they give the same bits. ``dot`` skips
+    the ufunc dispatch of ``np.matmul``, about 0.6 us, but zero-fills its
+    output before the call, which costs more than that from about 4096
+    elements: 19% more for a 4096 x 128 map product, one thread.
+    """
+    if a.shape[0] * b.shape[1] < _DOT_MAX_SIZE:
+        return a.dot(b)
     return a @ b
+
+
+def _matmul(key: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_Workspace.matmul`` without a workspace."""
+    return _product(a, b)
 
 
 def _row_blocks(fn, x, width: int, fold=None, work: _Workspace | None = None):
@@ -171,7 +210,8 @@ def _row_blocks(fn, x, width: int, fold=None, work: _Workspace | None = None):
     held at a time. A ZeroVectorError naming a row of a block is re-raised
     with the row's index in ``x``.
     """
-    x = np.asarray(x)
+    if type(x) is not np.ndarray:
+        x = np.asarray(x)
     # The first test settles small inputs, single rows included, cheaply.
     if x.ndim != 2 or x.shape[0] <= _MIN_BLOCK_ROWS:
         return fn(x)
@@ -234,7 +274,7 @@ def _residual_norms(
             if offset is not None:
                 y -= offset
         y *= y
-        return np.sqrt(np.add.reduce(y, axis=1))
+        return np.sqrt(np.add.reduce(y, axis=-1))
 
     return _row_blocks(block, x, basis.shape[0], work=work)
 

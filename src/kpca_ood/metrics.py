@@ -123,6 +123,7 @@ def evaluate(ind_scores, ood_scores, tpr_target: float = DEFAULT_TPR) -> EvalRep
 @dataclass(eq=False)
 class LatencyStats:
     mean_us: float
+    p50_us: float
     p99_us: float
 
 
@@ -137,13 +138,14 @@ class BenchReport:
         if not self.per_query_micros:
             return "(no queries benchmarked)"
         lines = [
-            f"{'scorer':<12}{'mean_us':>12}{'p99_us':>12}{'store_bytes':>14}"
+            f"{'scorer':<12}{'mean_us':>12}{'p50_us':>12}{'p99_us':>12}"
+            f"{'store_bytes':>14}"
         ]
         for name, stats in self.per_query_micros.items():
             size = self.store_bytes.get(name)
             lines.append(
-                f"{name:<12}{stats.mean_us:>12.2f}{stats.p99_us:>12.2f}"
-                f"{size if size is not None else '-':>14}"
+                f"{name:<12}{stats.mean_us:>12.2f}{stats.p50_us:>12.2f}"
+                f"{stats.p99_us:>12.2f}{size if size is not None else '-':>14}"
             )
         return "\n".join(lines)
 
@@ -214,8 +216,8 @@ def bench_scorers(scorers: dict, queries, warmup: int = 5, reps: int = 3) -> Ben
                     samples[i] = time.perf_counter() - t0
                     i += 1
             micros = samples * 1e6
+            p50, p99 = np.percentile(micros, [50, 99])
             report.per_query_micros[name] = LatencyStats(
-                mean_us=float(micros.mean()),
-                p99_us=float(np.percentile(micros, 99)),
+                mean_us=float(micros.mean()), p50_us=float(p50), p99_us=float(p99)
             )
     return report

@@ -78,7 +78,7 @@ def _resolved(spec: SynthSpec) -> dict:
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     # In place, with the bits of x / np.linalg.norm(x, axis=1)[:, None].
-    x /= _row_blocks(_row_norms, x, x.shape[1])[:, None]
+    x /= _row_blocks(_row_norms, x, x.shape[1])
     return x
 
 

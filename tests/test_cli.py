@@ -926,6 +926,18 @@ class TestCommandOutput:
                    "--warmup", 0, "--reps", 1) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "train_size=200  rff_dim=32"
 
+    def test_bench_prints_p50_beside_mean_and_p99(self, synth_files, capsys):
+        ind, _ = synth_files
+        capsys.readouterr()
+        assert run("bench", "--train", ind, "--queries", 4, "--methods", "cop,knn",
+                   "--warmup", 0, "--reps", 1) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[:3]
+        assert header.split() == ["scorer", "mean_us", "p50_us", "p99_us", "store_bytes"]
+        for row, name in zip(rows, ["cop", "knn"]):
+            fields = row.split()
+            assert fields[0] == name and len(fields) == 5
+            assert 0.0 < float(fields[2]) <= float(fields[3])
+
     def test_bench_without_queries_prints_no_context(self, synth_files, capsys):
         ind, _ = synth_files
         capsys.readouterr()

@@ -222,6 +222,19 @@ class TestBench:
         assert stats.p99_us >= stats.mean_us * 0.1
         assert "sum" in rep.to_text()
 
+    def test_p50_next_to_mean_and_p99(self, monkeypatch):
+        # A clock that makes the five calls take 1, 2, 3, 4 and 100 us.
+        ticks = iter(np.cumsum([0.0, 1, 0, 2, 0, 3, 0, 4, 0, 100]) * 1e-6)
+        monkeypatch.setattr(metrics.time, "perf_counter", lambda: next(ticks))
+        rep = bench_scorers({"noop": lambda r: 0.0}, np.ones((5, 2)), warmup=0, reps=1)
+        stats = rep.per_query_micros["noop"]
+        assert stats.mean_us == pytest.approx(22.0)
+        assert stats.p50_us == pytest.approx(3.0)
+        assert stats.p99_us == pytest.approx(4.0 + 0.96 * 96.0)
+        header, row = rep.to_text().splitlines()
+        assert header.split() == ["scorer", "mean_us", "p50_us", "p99_us", "store_bytes"]
+        assert row.split() == ["noop", "22.00", "3.00", "96.16", "-"]
+
     @pytest.mark.skipif(
         OPENBLAS is None, reason="numpy's OpenBLAS thread controls not found"
     )
